@@ -34,9 +34,7 @@ class WatchScope {
     explicit WatchScope(accesys::core::System& sys,
                         std::string ckpt_path = "bench_watchdog.ckpt")
     {
-        if (accesys::env_flags().ckpt) {
-            sys.sim().arm_interrupt_checkpoint(std::move(ckpt_path));
-        }
+        sys.sim().arm_interrupt_checkpoint(std::move(ckpt_path));
         g_watch_sys.store(&sys, std::memory_order_release);
     }
     WatchScope(const WatchScope&) = delete;

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "accel/command.hh"
-#include "sim/env_flags.hh"
 #include "sim/fault_injector.hh"
 #include "sim/serialize.hh"
 #include "workload/request_gen.hh"
@@ -32,9 +31,6 @@ void on_checkpoint_signal(int)
 
 void arm_signal_checkpoint(System& sys, std::string path)
 {
-    if (!env_flags().ckpt) {
-        return;
-    }
     sys.sim().arm_interrupt_checkpoint(std::move(path));
     g_signal_sim.store(&sys.sim(), std::memory_order_relaxed);
     std::signal(SIGINT, on_checkpoint_signal);
@@ -62,6 +58,14 @@ RunResult run_with_stats_flush(System& sys, const char* what)
 Addr doorbell_addr(System& sys, std::size_t idx = 0)
 {
     return sys.accelerator(idx).params().bar0_base + accel::kRegDoorbell;
+}
+
+/// The active fault plan, or the empty one (no timeout, one attempt).
+const FaultPlan& active_plan(System& sys)
+{
+    static const FaultPlan kNone;
+    const FaultInjector* fi = sys.sim().fault_injector();
+    return fi != nullptr ? fi->plan() : kNone;
 }
 
 /// DMA payload bytes endpoint `idx` has moved so far (both directions).
@@ -126,25 +130,24 @@ void Runner::dispatch(std::size_t device_idx, const workload::GemmSpec& spec,
     p.place = place;
     p.verify = verify;
     p.c = c;
-    p.flag = flag;
-    p.desc = desc;
+    p.desc.addr = desc;
 
     if (verify) {
         workload::init_gemm_data(sys.store(), spec, a, bt);
         p.golden = workload::gemm_golden(sys.store(), spec, a, bt);
     }
 
-    p.cmd.flags =
-        (verify ? accel::kCmdVerify : 0U) |
-        (place == Placement::devmem ? accel::kCmdDataInDevMem : 0U);
-    p.cmd.m = spec.m;
-    p.cmd.n = spec.n;
-    p.cmd.k = spec.k;
-    p.cmd.addr_a = a;
-    p.cmd.addr_b = bt;
-    p.cmd.addr_c = c;
-    p.cmd.flag_addr = flag;
-    p.cmd.flag_value = 1;
+    accel::GemmCommand& cmd = p.desc.cmd;
+    cmd.flags = (verify ? accel::kCmdVerify : 0U) |
+                (place == Placement::devmem ? accel::kCmdDataInDevMem : 0U);
+    cmd.m = spec.m;
+    cmd.n = spec.n;
+    cmd.k = spec.k;
+    cmd.addr_a = a;
+    cmd.addr_b = bt;
+    cmd.addr_c = c;
+    cmd.flag_addr = flag;
+    cmd.flag_value = 1;
     pending_.push_back(std::move(p));
 }
 
@@ -153,98 +156,285 @@ MultiGemmResult Runner::run_dispatched()
     System& sys = *sys_;
     ensure(!pending_.empty(), "run_dispatched with nothing dispatched");
 
-    // Failover armed: an active fault plan that allows more than one
-    // attempt per job routes through the round-based health-tracked path.
-    // Everything else (clean runs, single-attempt fault runs) takes the
-    // classic single-round path below, unchanged.
-    if (const FaultInjector* fi0 = sys.sim().fault_injector();
-        fi0 != nullptr && fi0->plan().job_max_attempts > 1) {
-        return run_failover(fi0->plan());
+    // Fault runs bound each completion poll by the plan's job timeout so
+    // one dead endpoint cannot wedge the whole batch. Retries — and with
+    // them endpoint health, FLRs and the runner.fleet stats — are armed
+    // only by a plan allowing more than one attempt per job; a disarmed
+    // run is a single round that reports unfinished jobs as timed_out.
+    const FaultPlan& fp = active_plan(sys);
+    const FaultPlan* plan = fp.job_max_attempts > 1 ? &fp : nullptr;
+    if (plan != nullptr) {
+        track_health();
     }
 
     MultiGemmResult res;
     res.devices.resize(pending_.size());
-    std::vector<std::uint64_t> dma_before(pending_.size());
+    // Jobs awaiting dispatch, in job order (deterministic round shapes).
+    std::vector<std::size_t> backlog(pending_.size());
     for (std::size_t i = 0; i < pending_.size(); ++i) {
         res.devices[i].device = pending_[i].device;
         res.devices[i].spec = pending_[i].spec;
-        dma_before[i] = dma_bytes(sys, pending_[i].device);
+        backlog[i] = i;
     }
+    std::uint32_t budget = fp.fleet_retry_budget;
+    bool first_round = true;
 
-    // The driver fills every descriptor, rings all doorbells back-to-back
-    // (the devices start pulling operands immediately and contend on the
-    // fabric), then polls each completion flag in dispatch order.
-    std::vector<cpu::CpuOp> prog;
-    prog.push_back(cpu::Call{[this, &sys, &res] {
-        res.start = sys.sim().now();
-        for (const PendingGemm& p : pending_) {
-            sys.store().write_obj(p.desc, p.cmd);
+    auto fail_job = [&](std::size_t job) {
+        res.devices[job].status = JobStatus::failed;
+        ++fleet_->failures;
+    };
+
+    // Pick an endpoint for `job` this round: its own device for a first
+    // attempt, else the least-loaded usable one. Returns -1 when the job
+    // must wait for a later round (its candidates are claimed), or -2 when
+    // no endpoint can ever take it (pinned to a quarantined device).
+    auto pick_endpoint = [&](std::size_t job,
+                             const std::vector<bool>& claimed)
+        -> std::ptrdiff_t {
+        const PendingGemm& p = pending_[job];
+        const auto own = static_cast<std::ptrdiff_t>(p.device);
+        if (plan == nullptr) {
+            return own; // one round, one job per device (dispatch() rule)
         }
-    }});
-    for (const PendingGemm& p : pending_) {
-        prog.push_back(cpu::MmioWrite{doorbell_addr(sys, p.device), p.desc});
-    }
-    // Fault runs bound each completion poll by the plan's job timeout so
-    // one dead endpoint cannot wedge the whole batch.
-    double job_timeout_ns = 0.0;
-    const FaultInjector* fi = sys.sim().fault_injector();
-    if (fi != nullptr) {
-        job_timeout_ns = fi->plan().job_timeout_ns;
-    }
-    for (const PendingGemm& p : pending_) {
-        prog.push_back(cpu::PollFlag{p.flag, p.cmd.flag_value,
-                                     job_timeout_ns});
-    }
-    prog.push_back(cpu::Call{[&sys, &res] { res.end = sys.sim().now(); }});
+        const bool own_usable =
+            health_[p.device].state != EndpointHealth::quarantined;
+        if (p.place == Placement::devmem) {
+            // Operands live in the original device's memory: pinned.
+            if (!own_usable) {
+                return -2;
+            }
+            return claimed[p.device] ? -1 : own;
+        }
+        if (res.devices[job].attempts.empty() && own_usable &&
+            !claimed[p.device]) {
+            return own;
+        }
+        return pick_usable(claimed);
+    };
 
-    sys.host_cpu().run_program(std::move(prog), [&sys] {
-        sys.sim().request_exit("dispatched gemms complete");
-    });
-    if (!restore_.empty()) {
-        sys.sim().restore(std::exchange(restore_, {}));
-    }
-    const RunResult rr = run_with_stats_flush(sys, "run_dispatched");
-    if (rr.cause == ExitCause::checkpointed) {
-        res.checkpointed = true;
-        res.end = rr.end_tick;
-        pending_.clear();
-        return res;
-    }
-    if (fi == nullptr) {
-        // Liveness: a clean run that drains with the program unfinished is
-        // a deadlock — report who still holds work instead of hanging.
-        ensure(rr.cause == ExitCause::exit_requested,
-               "GEMM run deadlocked: simulation drained at tick ",
-               rr.end_tick, " with jobs outstanding; component occupancy:\n",
-               sys.sim().occupancy_report());
-    } else if (rr.cause != ExitCause::exit_requested) {
-        // Graceful degradation: a fault run that drains mid-program still
-        // reports per-job outcomes below (the flags tell timeouts apart).
-        res.end = rr.end_tick;
+    while (!backlog.empty()) {
+        if (plan != nullptr) {
+            ensure_usable("fleet", backlog.size());
+        }
+        // Claim endpoints for this round: at most one job per endpoint, so
+        // per-device DMA stat deltas attribute cleanly.
+        std::vector<Slot> slots;
+        std::vector<bool> claimed(sys.device_count(), false);
+        std::vector<std::size_t> waiting;
+        for (const std::size_t job : backlog) {
+            const std::ptrdiff_t ep = pick_endpoint(job, claimed);
+            if (ep >= 0) {
+                claimed[static_cast<std::size_t>(ep)] = true;
+                slots.push_back(Slot{job, static_cast<std::uint64_t>(ep),
+                                     pending_[job].desc.cmd.flag_value});
+            } else if (ep == -1) {
+                waiting.push_back(job);
+            } else {
+                fail_job(job); // pinned to a quarantined endpoint
+            }
+        }
+        if (slots.empty()) {
+            // Nothing can run now or ever (the -1 case needs a claim, and
+            // nothing claimed): abandon what's left.
+            for (const std::size_t job : waiting) {
+                fail_job(job);
+            }
+            break;
+        }
+        if (plan != nullptr) {
+            ++fleet_->rounds;
+        }
+
+        // The first round's fill Call writes every descriptor; retries
+        // reuse them.
+        std::vector<std::uint64_t> dma_before;
+        std::vector<Desc> descs;
+        for (const Slot& s : slots) {
+            dma_before.push_back(dma_bytes(sys, s.ep));
+            descs.push_back(pending_[s.job].desc);
+        }
+        stage_round(slots, descs,
+                    first_round ? pending_descs() : std::vector<Desc>{},
+                    fp.job_timeout_ns);
+        const RunResult rr = run_round("run_dispatched", plan != nullptr);
+        if (first_round) {
+            res.start = ticks_->start;
+            first_round = false;
+        }
+        if (rr.cause == ExitCause::checkpointed) {
+            res.checkpointed = true;
+            res.end = rr.end_tick;
+            pending_.clear();
+            return res;
+        }
+        res.end = ticks_->end;
+
+        std::vector<std::size_t> retries;
+        for (std::size_t i = 0; i < slots.size(); ++i) {
+            const Slot& s = slots[i];
+            DeviceGemmResult& d = res.devices[s.job];
+            const Verdict v = settle(s, pending_[s.job].desc.cmd.flag_addr,
+                                     ticks_->start, d.attempts, plan, budget);
+            if (v == Verdict::timed_out) {
+                d.status = JobStatus::timed_out;
+                continue; // no done tick, no verify: the job never finished
+            }
+            d.dma_bytes += dma_bytes(sys, s.ep) - dma_before[i];
+            if (v == Verdict::ok) {
+                d.status = JobStatus::ok;
+                d.done = sys.accelerator(s.ep).last_complete_tick();
+                continue;
+            }
+            ++res.flrs;
+            if (v == Verdict::retry) {
+                ++res.redispatches;
+                retries.push_back(s.job);
+            } else {
+                d.status = JobStatus::failed;
+            }
+        }
+        // Preserve job order: waiting jobs first (they were dispatched
+        // earlier), then this round's retries.
+        waiting.insert(waiting.end(), retries.begin(), retries.end());
+        std::sort(waiting.begin(), waiting.end());
+        backlog = std::move(waiting);
     }
 
+    if (plan != nullptr) {
+        for (const EpHealth& h : health_) {
+            res.health.push_back(h.state);
+        }
+    }
     for (std::size_t i = 0; i < pending_.size(); ++i) {
         const PendingGemm& p = pending_[i];
-        // The flag itself is the ground truth for per-job success: a
-        // timed-out poll leaves it unset while completed devices posted
-        // theirs.
-        const auto flag = sys.store().read_obj<std::uint64_t>(p.flag);
-        if (flag != p.cmd.flag_value) {
-            res.devices[i].status = JobStatus::timed_out;
-            continue; // no done tick, no verify: the job never finished
-        }
-        res.devices[i].done =
-            sys.accelerator(p.device).last_complete_tick();
-        res.devices[i].dma_bytes =
-            dma_bytes(sys, p.device) - dma_before[i];
-        if (p.verify) {
-            res.devices[i].mismatches =
+        DeviceGemmResult& d = res.devices[i];
+        if (d.ok() && p.verify) {
+            d.mismatches =
                 workload::gemm_check(sys.store(), p.spec, p.c, p.golden);
-            res.devices[i].verified = res.devices[i].mismatches == 0;
+            d.verified = d.mismatches == 0;
         }
     }
     pending_.clear();
     return res;
+}
+
+std::vector<Runner::Desc> Runner::pending_descs() const
+{
+    std::vector<Desc> descs;
+    for (const PendingGemm& p : pending_) {
+        descs.push_back(p.desc);
+    }
+    return descs;
+}
+
+void Runner::stage_round(const std::vector<Slot>& slots,
+                         const std::vector<Desc>& descs,
+                         std::vector<Desc> fill, double timeout_ns)
+{
+    // The driver fills the descriptors, rings every doorbell back-to-back
+    // (the devices start pulling operands immediately and contend on the
+    // fabric), then polls each completion flag in slot order.
+    System* sys = sys_;
+    std::vector<cpu::CpuOp> prog;
+    prog.push_back(cpu::Call{[sys, ticks = ticks_, fill = std::move(fill)] {
+        ticks->start = sys->sim().now();
+        for (const Desc& d : fill) {
+            sys->store().write_obj(d.addr, d.cmd);
+        }
+    }});
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        prog.push_back(
+            cpu::MmioWrite{doorbell_addr(*sys, slots[i].ep), descs[i].addr});
+    }
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        prog.push_back(cpu::PollFlag{descs[i].cmd.flag_addr,
+                                     slots[i].flag_value, timeout_ns});
+    }
+    arm(std::move(prog));
+}
+
+void Runner::arm(std::vector<cpu::CpuOp> prog)
+{
+    System* sys = sys_;
+    *ticks_ = RoundTicks{};
+    prog.push_back(cpu::Call{
+        [sys, ticks = ticks_] { ticks->end = sys->sim().now(); }});
+    sys->host_cpu().run_program(std::move(prog), [sys] {
+        sys->sim().request_exit("dispatch round complete");
+    });
+    if (!restore_.empty()) {
+        sys->sim().restore(std::exchange(restore_, {}));
+    }
+}
+
+RunResult Runner::run_round(const char* what, bool health_tracked)
+{
+    System& sys = *sys_;
+    RunResult rr;
+    try {
+        rr = run_with_stats_flush(sys, what);
+    } catch (const SimError&) {
+        if (health_tracked) {
+            std::cerr << health_summary();
+        }
+        throw;
+    }
+    if (rr.cause == ExitCause::checkpointed) {
+        return rr;
+    }
+    // Liveness: a clean run that drains with the program unfinished is a
+    // deadlock — report who still holds work instead of hanging. A fault
+    // run degrades gracefully: the flags tell timeouts apart.
+    ensure(sys.sim().fault_injector() != nullptr ||
+               rr.cause == ExitCause::exit_requested,
+           what, " deadlocked: simulation drained at tick ", rr.end_tick,
+           " with jobs outstanding; component occupancy:\n",
+           sys.sim().occupancy_report());
+    if (ticks_->end == 0) {
+        ticks_->end = rr.end_tick; // drained mid-program
+    }
+    return rr;
+}
+
+Runner::Verdict Runner::settle(const Slot& s, Addr flag, Tick start,
+                               std::vector<JobAttempt>& attempts,
+                               const FaultPlan* plan, std::uint32_t& budget)
+{
+    // The functional flag is ground truth: it is only ever written at the
+    // device's run_complete().
+    const bool done = sys_->store().read_obj<std::uint64_t>(flag) ==
+                      s.flag_value;
+    if (plan == nullptr) {
+        return done ? Verdict::ok : Verdict::timed_out;
+    }
+    const auto ep = static_cast<std::size_t>(s.ep);
+    attempts.push_back(JobAttempt{
+        ep, done ? JobStatus::ok : JobStatus::timed_out, start, ticks_->end});
+    if (done) {
+        health_success(ep, *plan);
+        return Verdict::ok;
+    }
+    // health_failure issues the FLR that drains whatever wedged the
+    // endpoint and re-arms its link credits.
+    health_failure(ep, *plan);
+    if (attempts.size() < static_cast<std::size_t>(plan->job_max_attempts) &&
+        budget > 0) {
+        --budget;
+        ++fleet_->redispatches;
+        return Verdict::retry;
+    }
+    ++fleet_->failures;
+    return Verdict::failed;
+}
+
+void Runner::track_health()
+{
+    if (fleet_ == nullptr) {
+        fleet_ = std::make_unique<FleetStats>(sys_->stats());
+    }
+    if (health_.size() < sys_->device_count()) {
+        health_.resize(sys_->device_count());
+    }
 }
 
 std::string Runner::health_summary() const
@@ -273,261 +463,42 @@ std::string Runner::health_summary() const
     return out;
 }
 
-MultiGemmResult Runner::run_failover(const FaultPlan& plan)
+void Runner::ensure_usable(const char* who, std::size_t waiting) const
 {
-    System& sys = *sys_;
-    const std::size_t n_eps = sys.device_count();
-    if (fleet_ == nullptr) {
-        fleet_ = std::make_unique<FleetStats>(sys.stats());
-    }
-    if (health_.size() < n_eps) {
-        health_.resize(n_eps);
-    }
-
-    MultiGemmResult res;
-    res.devices.resize(pending_.size());
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-        res.devices[i].device = pending_[i].device;
-        res.devices[i].spec = pending_[i].spec;
-    }
-
-    // Jobs awaiting dispatch, in job order (deterministic round shapes).
-    std::vector<std::size_t> backlog(pending_.size());
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-        backlog[i] = i;
-    }
-    unsigned redispatch_budget = plan.fleet_retry_budget;
-    bool first_round = true;
-
-    auto fail_job = [&](std::size_t job) {
-        res.devices[job].status = JobStatus::failed;
-        ++fleet_->failures;
-    };
-
-    // Pick an endpoint for `job` this round. Returns the endpoint index,
-    // -1 when the job must wait for a later round (its candidates are
-    // claimed), or -2 when no endpoint can ever take it (pinned to a
-    // quarantined device).
-    auto pick_endpoint = [&](std::size_t job,
-                             const std::vector<bool>& claimed)
-        -> std::ptrdiff_t {
-        const PendingGemm& p = pending_[job];
-        if (p.place == Placement::devmem) {
-            // Operands live in the original device's memory: pinned.
-            if (health_[p.device].state == EndpointHealth::quarantined) {
-                return -2;
-            }
-            return claimed[p.device]
-                       ? -1
-                       : static_cast<std::ptrdiff_t>(p.device);
-        }
-        const bool first_attempt = res.devices[job].attempts.empty();
-        if (first_attempt &&
-            health_[p.device].state != EndpointHealth::quarantined &&
-            !claimed[p.device]) {
-            return static_cast<std::ptrdiff_t>(p.device);
-        }
-        // Re-dispatch (or displaced first attempt): least-loaded healthy
-        // endpoint, falling back to degraded (least_loaded ties break by
-        // lowest index — see its contract note).
-        for (const EndpointHealth want :
-             {EndpointHealth::healthy, EndpointHealth::degraded}) {
-            const std::ptrdiff_t best = least_loaded(health_, claimed, want);
-            if (best >= 0) {
-                return best;
-            }
-        }
-        return -1; // usable endpoints exist but are claimed this round
-    };
-
-    while (!backlog.empty()) {
-        bool any_usable = false;
-        for (std::size_t ep = 0; ep < n_eps; ++ep) {
-            any_usable |=
-                health_[ep].state != EndpointHealth::quarantined;
-        }
-        ensure(any_usable, "fleet stalled: every endpoint is quarantined "
-                           "with ",
-               backlog.size(), " job(s) outstanding\n", health_summary(),
-               "component occupancy:\n", sys.sim().occupancy_report());
-
-        // Claim endpoints for this round: at most one job per endpoint, so
-        // per-device DMA stat deltas attribute cleanly.
-        struct Slot {
-            std::size_t job;
-            std::size_t ep;
-        };
-        std::vector<Slot> round;
-        std::vector<bool> claimed(n_eps, false);
-        std::vector<std::size_t> waiting;
-        for (std::size_t job : backlog) {
-            const std::ptrdiff_t ep = pick_endpoint(job, claimed);
-            if (ep >= 0) {
-                claimed[static_cast<std::size_t>(ep)] = true;
-                round.push_back(Slot{job, static_cast<std::size_t>(ep)});
-            } else if (ep == -1) {
-                waiting.push_back(job);
-            } else {
-                fail_job(job); // pinned to a quarantined endpoint
-            }
-        }
-        if (round.empty()) {
-            // Nothing can run now or ever (the -1 case needs a claim, and
-            // nothing claimed): abandon what's left.
-            for (std::size_t job : waiting) {
-                fail_job(job);
-            }
-            break;
-        }
-        ++fleet_->rounds;
-
-        std::vector<std::uint64_t> dma_before(round.size());
-        for (std::size_t s = 0; s < round.size(); ++s) {
-            dma_before[s] = dma_bytes(sys, round[s].ep);
-        }
-
-        Tick round_start = 0;
-        Tick round_end = 0;
-        std::vector<cpu::CpuOp> prog;
-        prog.push_back(cpu::Call{[this, &sys, &res, &round_start,
-                                  first_round] {
-            round_start = sys.sim().now();
-            if (first_round) {
-                res.start = round_start;
-                for (const PendingGemm& p : pending_) {
-                    sys.store().write_obj(p.desc, p.cmd);
-                }
-            }
-        }});
-        for (const Slot& s : round) {
-            prog.push_back(cpu::MmioWrite{doorbell_addr(sys, s.ep),
-                                          pending_[s.job].desc});
-        }
-        for (const Slot& s : round) {
-            prog.push_back(cpu::PollFlag{pending_[s.job].flag,
-                                         pending_[s.job].cmd.flag_value,
-                                         plan.job_timeout_ns});
-        }
-        prog.push_back(cpu::Call{
-            [&sys, &round_end] { round_end = sys.sim().now(); }});
-
-        sys.host_cpu().run_program(std::move(prog), [&sys] {
-            sys.sim().request_exit("dispatch round complete");
+    const bool any_usable =
+        std::any_of(health_.begin(), health_.end(), [](const EpHealth& h) {
+            return h.state != EndpointHealth::quarantined;
         });
-        if (first_round && !restore_.empty()) {
-            sys.sim().restore(std::exchange(restore_, {}));
-        }
-        first_round = false;
-
-        RunResult rr;
-        try {
-            rr = run_with_stats_flush(sys, "run_dispatched(failover)");
-        } catch (const SimError&) {
-            std::cerr << health_summary();
-            throw;
-        }
-        if (rr.cause == ExitCause::checkpointed) {
-            res.checkpointed = true;
-            res.end = rr.end_tick;
-            pending_.clear();
-            return res;
-        }
-        if (round_end == 0) {
-            round_end = rr.end_tick; // drained mid-program (graceful path)
-        }
-        res.end = round_end;
-
-        // Evaluate the round: the functional flag is ground truth (it is
-        // only ever written at device run_complete()).
-        std::vector<std::size_t> next_backlog;
-        for (std::size_t s = 0; s < round.size(); ++s) {
-            const Slot& slot = round[s];
-            const PendingGemm& p = pending_[slot.job];
-            DeviceGemmResult& d = res.devices[slot.job];
-            const auto flag = sys.store().read_obj<std::uint64_t>(p.flag);
-            const bool done = flag == p.cmd.flag_value;
-
-            d.dma_bytes += dma_bytes(sys, slot.ep) - dma_before[s];
-            d.attempts.push_back(JobAttempt{
-                slot.ep, done ? JobStatus::ok : JobStatus::timed_out,
-                round_start, round_end});
-
-            if (done) {
-                d.status = JobStatus::ok;
-                d.done = sys.accelerator(slot.ep).last_complete_tick();
-                health_success(slot.ep, plan);
-                continue;
-            }
-
-            // Failure: update health with hysteresis, then reset the
-            // endpoint (health_failure issues the FLR that drains whatever
-            // wedged it and re-arms the link credits).
-            health_failure(slot.ep, plan);
-            ++res.flrs;
-
-            if (d.attempts.size() >=
-                static_cast<std::size_t>(plan.job_max_attempts)) {
-                d.status = JobStatus::failed;
-                ++fleet_->failures;
-            } else if (redispatch_budget == 0) {
-                d.status = JobStatus::failed;
-                ++fleet_->failures;
-            } else {
-                --redispatch_budget;
-                ++fleet_->redispatches;
-                ++res.redispatches;
-                next_backlog.push_back(slot.job);
-            }
-        }
-        // Preserve job order: waiting jobs first (they were dispatched
-        // earlier), then this round's retries.
-        waiting.insert(waiting.end(), next_backlog.begin(),
-                       next_backlog.end());
-        std::sort(waiting.begin(), waiting.end());
-        backlog = std::move(waiting);
-    }
-
-    res.health.resize(n_eps);
-    for (std::size_t ep = 0; ep < n_eps; ++ep) {
-        res.health[ep] = health_[ep].state;
-    }
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-        const PendingGemm& p = pending_[i];
-        DeviceGemmResult& d = res.devices[i];
-        if (d.status != JobStatus::ok) {
-            continue;
-        }
-        if (p.verify) {
-            d.mismatches =
-                workload::gemm_check(sys.store(), p.spec, p.c, p.golden);
-            d.verified = d.mismatches == 0;
-        }
-    }
-    pending_.clear();
-    return res;
+    ensure(any_usable, who, " stalled: every endpoint is quarantined with ",
+           waiting, " job(s) waiting\n", health_summary(),
+           "component occupancy:\n", sys_->sim().occupancy_report());
 }
 
-std::ptrdiff_t Runner::least_loaded(const std::vector<EpHealth>& health,
-                                    const std::vector<bool>& claimed,
-                                    EndpointHealth want)
+std::ptrdiff_t Runner::pick_usable(const std::vector<bool>& claimed) const
 {
-    // Ascending-index scan with a strict `<`: ties on load resolve to the
+    // Ascending-index scans with a strict `<`: ties on load resolve to the
     // lowest endpoint index (topology order), so the pick is a pure
     // function of the health table — identical for every ACCESYS_THREADS.
-    std::ptrdiff_t best = -1;
-    std::uint64_t best_load = 0;
-    for (std::size_t ep = 0; ep < health.size(); ++ep) {
-        if (health[ep].state != want || claimed[ep]) {
-            continue;
+    for (const EndpointHealth want :
+         {EndpointHealth::healthy, EndpointHealth::degraded}) {
+        std::ptrdiff_t best = -1;
+        std::uint64_t best_load = 0;
+        for (std::size_t ep = 0; ep < health_.size(); ++ep) {
+            if (health_[ep].state != want || claimed[ep]) {
+                continue;
+            }
+            const std::uint64_t load =
+                health_[ep].failures_total + health_[ep].successes_total;
+            if (best < 0 || load < best_load) {
+                best = static_cast<std::ptrdiff_t>(ep);
+                best_load = load;
+            }
         }
-        const std::uint64_t load =
-            health[ep].failures_total + health[ep].successes_total;
-        if (best < 0 || load < best_load) {
-            best = static_cast<std::ptrdiff_t>(ep);
-            best_load = load;
+        if (best >= 0) {
+            return best;
         }
     }
-    return best;
+    return -1;
 }
 
 void Runner::health_success(std::size_t ep, const FaultPlan& plan)
@@ -629,18 +600,9 @@ ServingResult Runner::serve(workload::RequestGen& gen,
     // Compose with the active fault model exactly like run_dispatched():
     // the plan supplies timeouts, attempt counts and health thresholds. A
     // missing injector means the defaults (no timeout, one attempt).
-    FaultPlan plan;
-    const FaultInjector* fi = sys.sim().fault_injector();
-    if (fi != nullptr) {
-        plan = fi->plan();
-    }
-
-    if (health_.size() < n_eps) {
-        health_.resize(n_eps);
-    }
-    if (fleet_ == nullptr) {
-        fleet_ = std::make_unique<FleetStats>(sys.stats());
-    }
+    // Health is tracked at any job_max_attempts.
+    const FaultPlan& plan = active_plan(sys);
+    track_health();
     if (serving_ == nullptr) {
         serving_ = std::make_unique<ServingStats>(sys.stats());
     }
@@ -734,7 +696,6 @@ ServingResult Runner::serve(workload::RequestGen& gen,
     // In-flight goldens, one per endpoint (slots are reused every round so
     // completed jobs verify immediately at round evaluation).
     std::vector<std::vector<std::int32_t>> golden(n_eps);
-    auto round_end_tick = std::make_shared<Tick>(0);
 
     auto note_shed = [&](std::uint64_t id) {
         ServedJob& j = st.jobs[id];
@@ -744,17 +705,15 @@ ServingResult Runner::serve(workload::RequestGen& gen,
         --queued_by_tenant[j.tenant];
     };
 
-    auto exit_cb = [&sys] { sys.sim().request_exit("serving round done"); };
-
     // Materialize the round described by st.slots: operands, descriptors
-    // and the driver program (descriptor-fill Call, doorbells, bounded
-    // polls, end-sample Call). With `restaging` the dispatch-tick ledger
-    // fields are left alone — the checkpoint already holds them, and this
-    // fresh process' pre-restore now() would corrupt the SLO split.
+    // and the stage_round() program. With `restaging` the dispatch-tick
+    // ledger fields are left alone — the checkpoint already holds them,
+    // and this fresh process' pre-restore now() would corrupt the SLO
+    // split.
     auto stage_dispatch = [&](bool restaging) {
         const Tick dispatch_tick = sys.sim().now();
-        std::vector<std::pair<Addr, accel::GemmCommand>> descs;
-        for (const ServeSlot& s : st.slots) {
+        std::vector<Desc> descs;
+        for (const Slot& s : st.slots) {
             ServedJob& j = st.jobs[s.job];
             const EpSlot& mem = slot_mem[s.ep];
             workload::init_gemm_data(sys.store(), j.spec, mem.a, mem.b);
@@ -772,7 +731,7 @@ ServingResult Runner::serve(workload::RequestGen& gen,
             cmd.addr_c = mem.c;
             cmd.flag_addr = mem.flag;
             cmd.flag_value = s.flag_value;
-            descs.emplace_back(mem.desc, cmd);
+            descs.push_back(Desc{mem.desc, cmd});
             if (!restaging) {
                 if (j.attempts.empty()) {
                     j.first_dispatch = dispatch_tick;
@@ -780,30 +739,12 @@ ServingResult Runner::serve(workload::RequestGen& gen,
                 j.last_dispatch = dispatch_tick;
             }
         }
-        *round_end_tick = 0;
-        std::vector<cpu::CpuOp> prog;
-        prog.push_back(cpu::Call{[&sys, descs] {
-            for (const auto& [addr, cmd] : descs) {
-                sys.store().write_obj(addr, cmd);
-            }
-        }});
-        for (const ServeSlot& s : st.slots) {
-            prog.push_back(
-                cpu::MmioWrite{doorbell_addr(sys, s.ep), slot_mem[s.ep].desc});
-        }
-        for (const ServeSlot& s : st.slots) {
-            prog.push_back(cpu::PollFlag{slot_mem[s.ep].flag, s.flag_value,
-                                         plan.job_timeout_ns});
-        }
-        prog.push_back(cpu::Call{[&sys, round_end_tick] {
-            *round_end_tick = sys.sim().now();
-        }});
-        sys.host_cpu().run_program(std::move(prog), exit_cb);
+        stage_round(st.slots, descs, descs, plan.job_timeout_ns);
     };
 
     // Empty-queue round: burn CPU cycles until just past the next arrival
-    // so take_until() picks it up at the round boundary. The round-end
-    // sample happens inside the program for the same reason as above.
+    // so take_until() picks it up at the round boundary (arm() samples the
+    // round end inside the program, so serial and parallel runs agree).
     auto stage_idle = [&](bool restaging) {
         if (!restaging) {
             const Tick target = gen.next_arrival_tick();
@@ -814,20 +755,14 @@ ServingResult Runner::serve(workload::RequestGen& gen,
             st.idle_cycles =
                 (target > now ? (target - now) / period : 0) + 2;
         }
-        *round_end_tick = 0;
-        std::vector<cpu::CpuOp> prog;
-        prog.push_back(cpu::Delay{st.idle_cycles});
-        prog.push_back(cpu::Call{[&sys, round_end_tick] {
-            *round_end_tick = sys.sim().now();
-        }});
-        sys.host_cpu().run_program(std::move(prog), exit_cb);
+        arm({cpu::Delay{st.idle_cycles}});
     };
 
     // Fill st.slots from the queue head: deadline shedding first (policy
     // deadline_aware only), then least-loaded healthy endpoints, falling
-    // back to degraded — the same selection (and the same lowest-index
-    // tie-break) as run_failover re-dispatch. Returns false with an empty
-    // queue (idle) and diagnoses a fully-quarantined fleet loudly.
+    // back to degraded — pick_usable(), as run_dispatched() re-dispatch
+    // uses. Returns false with an empty queue (idle) and diagnoses a
+    // fully-quarantined fleet loudly.
     auto choose_slots = [&]() -> bool {
         st.slots.clear();
         std::vector<bool> claimed(n_eps, false);
@@ -853,14 +788,7 @@ ServingResult Runner::serve(workload::RequestGen& gen,
                     break;
                 }
             }
-            std::ptrdiff_t ep = -1;
-            for (const EndpointHealth want :
-                 {EndpointHealth::healthy, EndpointHealth::degraded}) {
-                ep = least_loaded(health_, claimed, want);
-                if (ep >= 0) {
-                    break;
-                }
-            }
+            const std::ptrdiff_t ep = pick_usable(claimed);
             if (ep < 0) {
                 break; // every usable endpoint is claimed (or none usable)
             }
@@ -868,20 +796,12 @@ ServingResult Runner::serve(workload::RequestGen& gen,
             st.queue.erase(st.queue.begin());
             --queued_by_tenant[st.jobs[id].tenant];
             claimed[static_cast<std::size_t>(ep)] = true;
-            st.slots.push_back(ServeSlot{
+            st.slots.push_back(Slot{
                 id, static_cast<std::uint64_t>(ep),
                 ++st.ep_flag_value[static_cast<std::size_t>(ep)]});
         }
         if (st.slots.empty() && !st.queue.empty()) {
-            bool any_usable = false;
-            for (std::size_t ep = 0; ep < n_eps; ++ep) {
-                any_usable |=
-                    health_[ep].state != EndpointHealth::quarantined;
-            }
-            ensure(any_usable,
-                   "serving stalled: every endpoint is quarantined with ",
-                   st.queue.size(), " job(s) queued\n", health_summary(),
-                   "component occupancy:\n", sys.sim().occupancy_report());
+            ensure_usable("serving", st.queue.size());
         }
         return !st.slots.empty();
     };
@@ -952,9 +872,8 @@ ServingResult Runner::serve(workload::RequestGen& gen,
         if (st.round_kind == 1) {
             stage_dispatch(true);
         } else {
-            stage_idle(true);
+            stage_idle(true); // both apply the snapshot on top (arm())
         }
-        sys.sim().restore(std::exchange(restore_, {}));
         staged = true;
     }
 
@@ -973,13 +892,7 @@ ServingResult Runner::serve(workload::RequestGen& gen,
         }
         staged = false;
 
-        RunResult rr;
-        try {
-            rr = run_with_stats_flush(sys, "serve");
-        } catch (const SimError&) {
-            std::cerr << health_summary();
-            throw;
-        }
+        const RunResult rr = run_round("serve", true);
         if (rr.cause == ExitCause::checkpointed) {
             res.checkpointed = true;
             res.start = st.start;
@@ -998,17 +911,7 @@ ServingResult Runner::serve(workload::RequestGen& gen,
             res.flrs = st.flrs;
             return res;
         }
-        if (fi == nullptr) {
-            ensure(rr.cause == ExitCause::exit_requested,
-                   "serving round deadlocked: simulation drained at tick ",
-                   rr.end_tick,
-                   " with jobs outstanding; component occupancy:\n",
-                   sys.sim().occupancy_report());
-        }
-        Tick round_end = *round_end_tick;
-        if (round_end == 0) {
-            round_end = rr.end_tick; // drained mid-program (fault path)
-        }
+        const Tick round_end = ticks_->end;
         res.end = round_end;
 
         if (st.round_kind == 1) {
@@ -1022,20 +925,15 @@ ServingResult Runner::serve(workload::RequestGen& gen,
 
         std::vector<std::uint64_t> retries;
         if (st.round_kind == 1) {
-            for (const ServeSlot& s : st.slots) {
+            for (const Slot& s : st.slots) {
                 ServedJob& j = st.jobs[s.job];
                 ServingStats::Tenant& ts = *serving_->tenants[j.tenant];
-                const std::size_t ep = static_cast<std::size_t>(s.ep);
-                const auto flag =
-                    sys.store().read_obj<std::uint64_t>(slot_mem[ep].flag);
-                const bool done = flag == s.flag_value;
-                j.attempts.push_back(JobAttempt{
-                    ep, done ? JobStatus::ok : JobStatus::timed_out,
-                    j.last_dispatch, round_end});
-                if (done) {
+                const auto ep = static_cast<std::size_t>(s.ep);
+                const Verdict v = settle(s, slot_mem[ep].flag, j.last_dispatch,
+                                         j.attempts, &plan, st.retry_budget);
+                if (v == Verdict::ok) {
                     j.status = JobStatus::ok;
                     j.done = sys.accelerator(ep).last_complete_tick();
-                    health_success(ep, plan);
                     if (scfg.verify) {
                         j.mismatches = workload::gemm_check(
                             sys.store(), j.spec, slot_mem[ep].c, golden[ep]);
@@ -1062,23 +960,17 @@ ServingResult Runner::serve(workload::RequestGen& gen,
                         st.est_service_ticks == 0
                             ? service
                             : (st.est_service_ticks * 7 + service) / 8;
+                    continue;
+                }
+                ++st.flrs;
+                if (v == Verdict::retry) {
+                    ++st.redispatches;
+                    ++serving_->retries;
+                    retries.push_back(s.job);
                 } else {
-                    health_failure(ep, plan);
-                    ++st.flrs;
-                    if (j.attempts.size() <
-                            static_cast<std::size_t>(plan.job_max_attempts) &&
-                        st.retry_budget > 0) {
-                        --st.retry_budget;
-                        ++st.redispatches;
-                        ++serving_->retries;
-                        ++fleet_->redispatches;
-                        retries.push_back(s.job);
-                    } else {
-                        j.status = JobStatus::failed;
-                        ++serving_->failed;
-                        ++ts.failed;
-                        ++fleet_->failures;
-                    }
+                    j.status = JobStatus::failed;
+                    ++serving_->failed;
+                    ++ts.failed;
                 }
             }
             st.slots.clear();
@@ -1185,33 +1077,15 @@ ServingResult Runner::serve(workload::RequestGen& gen,
 
 void Runner::restore_dispatched(const std::string& path)
 {
-    System& sys = *sys_;
     ensure(!pending_.empty(), "restore_dispatched with nothing dispatched");
-
-    // Same op shape as run_dispatched(): one descriptor-fill Call, one
-    // doorbell per job, one poll per job, one end-sample Call. The Calls
-    // are stubs — the snapshot's restored store already holds the
-    // descriptors, and nothing here will read the result fields.
-    std::vector<cpu::CpuOp> prog;
-    prog.push_back(cpu::Call{[] {}});
-    for (const PendingGemm& p : pending_) {
-        prog.push_back(cpu::MmioWrite{doorbell_addr(sys, p.device), p.desc});
+    std::vector<Slot> slots;
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+        slots.push_back(Slot{i, pending_[i].device,
+                             pending_[i].desc.cmd.flag_value});
     }
-    double job_timeout_ns = 0.0;
-    const FaultInjector* fi = sys.sim().fault_injector();
-    if (fi != nullptr) {
-        job_timeout_ns = fi->plan().job_timeout_ns;
-    }
-    for (const PendingGemm& p : pending_) {
-        prog.push_back(cpu::PollFlag{p.flag, p.cmd.flag_value,
-                                     job_timeout_ns});
-    }
-    prog.push_back(cpu::Call{[] {}});
-
-    sys.host_cpu().run_program(std::move(prog), [&sys] {
-        sys.sim().request_exit("dispatched gemms complete");
-    });
-    sys.sim().restore(path);
+    restore_ = path;
+    stage_round(slots, pending_descs(), pending_descs(),
+                active_plan(*sys_).job_timeout_ns);
     pending_.clear();
 }
 

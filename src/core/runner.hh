@@ -17,6 +17,7 @@
 
 #include "accel/command.hh"
 #include "core/system.hh"
+#include "cpu/host_cpu.hh"
 #include "workload/gemm.hh"
 #include "workload/vit.hh"
 
@@ -75,8 +76,8 @@ enum class EndpointHealth {
     quarantined, ///< consecutive-failure threshold hit; never dispatched
 };
 
-/// One attempt at running a job on some endpoint (failover runs record the
-/// full history; single-shot runs record exactly one).
+/// One attempt at running a job on some endpoint (runs with retries armed
+/// record the full history).
 struct JobAttempt {
     std::size_t device = 0;
     JobStatus status = JobStatus::ok;
@@ -92,8 +93,8 @@ struct DeviceGemmResult {
     /// anything but `ok`: a clean run that loses a flag deadlocks loudly
     /// instead (the old behaviour, preserved).
     JobStatus status = JobStatus::ok;
-    /// Attempt history (failover runs only; empty on the classic
-    /// single-round path, where `status` is the whole story).
+    /// Attempt history (runs with retries armed only; empty on a disarmed
+    /// run, where `status` is the whole story).
     std::vector<JobAttempt> attempts;
     /// Tick the device finished posting its completion flag (device-side,
     /// so dispatch/poll order cannot bias completion-skew measurements).
@@ -125,7 +126,7 @@ struct MultiGemmResult {
     /// and verification was skipped.
     bool checkpointed = false;
     std::vector<DeviceGemmResult> devices;
-    /// Per-endpoint health after the run (failover runs; empty otherwise).
+    /// Per-endpoint health after the run (retries armed; empty otherwise).
     std::vector<EndpointHealth> health;
     /// Jobs re-dispatched to another endpoint after a failed attempt.
     std::uint64_t redispatches = 0;
@@ -287,7 +288,9 @@ class Runner {
     /// behaviour (reject / shed / deadline-shed), watermark backpressure
     /// and per-tenant SLO accounting follow `scfg`; endpoint faults
     /// compose with the active FaultPlan exactly like run_dispatched()
-    /// failover (timeouts, health hysteresis, FLR, bounded retries).
+    /// with retries armed (timeouts, health hysteresis, FLR, bounded
+    /// retries) — through the same stage_round()/settle() pair — except
+    /// that health is tracked at any job_max_attempts.
     /// Operands live in host memory in per-endpoint slots sized for the
     /// largest shape in the schedule, so queue + operand memory stay
     /// bounded no matter how long the overload lasts.
@@ -312,26 +315,50 @@ class Runner {
     void set_restore_path(std::string path) { restore_ = std::move(path); }
 
     /// Restore checkpoint `path` into the fresh System *without* running
-    /// it: re-stages a program with the same op shape as run_dispatched()
-    /// (the CPU's restored pc must land inside an identical program) and
-    /// then loads the snapshot. For tooling that measures or inspects
-    /// restored state only — the host-side sampling Calls are stubs, so
-    /// resume a run through set_restore_path() + run_dispatched() instead.
-    /// Clears the dispatch list.
+    /// it: stages run_dispatched()'s first round (every job on its own
+    /// endpoint) through stage_round(), so the CPU's restored pc lands
+    /// inside an identical program, then loads the snapshot. A later
+    /// sim().run() finishes the round; the per-job results are not
+    /// collected, so resume a run through set_restore_path() +
+    /// run_dispatched() when they matter. Clears the dispatch list.
     void restore_dispatched(const std::string& path);
 
   private:
+    /// A command descriptor and the host address the driver writes it to
+    /// (its completion flag is cmd.flag_addr).
+    struct Desc {
+        Addr addr = 0;
+        accel::GemmCommand cmd{};
+    };
+
     struct PendingGemm {
         std::size_t device = 0;
         workload::GemmSpec spec{};
         Placement place = Placement::host;
         bool verify = false;
         Addr c = 0;
-        Addr flag = 0;
-        Addr desc = 0;
-        accel::GemmCommand cmd{};
+        Desc desc;
         std::vector<std::int32_t> golden;
     };
+
+    /// One job bound to one endpoint for one dispatch round. `job` indexes
+    /// pending_ in run_dispatched() and the ledger in serve(). Trivially
+    /// copyable: this is the "runner.serving" checkpoint layout (pod_vec).
+    struct Slot {
+        std::uint64_t job = 0;
+        std::uint64_t ep = 0;
+        std::uint64_t flag_value = 0; ///< completion value the poll waits on
+    };
+
+    /// Ticks sampled by the armed round's program (0 = not reached). Shared
+    /// with the program's Calls so they never outlive what they write.
+    struct RoundTicks {
+        Tick start = 0; ///< fill Call (descriptors written, doorbells next)
+        Tick end = 0;   ///< end-sample Call, or the drain tick (run_round)
+    };
+
+    /// How settle() resolved one slot.
+    enum class Verdict { ok, timed_out, retry, failed };
 
     /// Per-endpoint health record (hysteresis counters; persists across
     /// run_dispatched() batches, like real fleet health would).
@@ -343,9 +370,8 @@ class Runner {
         std::uint64_t successes_total = 0;
     };
 
-    /// Fleet-level failover stats, registered only when failover is armed
-    /// (active plan with job_max_attempts > 1) so clean dumps are
-    /// unchanged.
+    /// Fleet-level failover stats, registered only when health tracking is
+    /// on (retries armed, or serve()) so clean dumps are unchanged.
     struct FleetStats {
         explicit FleetStats(stats::Registry& reg)
             : group(reg, "runner.fleet"),
@@ -478,13 +504,6 @@ class Runner {
         std::vector<std::unique_ptr<Tenant>> tenants;
     };
 
-    /// One in-flight serving dispatch (trivially copyable -> pod_vec).
-    struct ServeSlot {
-        std::uint64_t job = 0;        ///< ledger index (request id)
-        std::uint64_t ep = 0;         ///< endpoint index
-        std::uint64_t flag_value = 0; ///< completion value this round waits on
-    };
-
     /// All serve() state that must survive a mid-run checkpoint; saved and
     /// restored by the "runner.serving" hook (serialize_serving).
     struct ServeState {
@@ -500,31 +519,59 @@ class Runner {
         std::uint64_t redispatches = 0;
         std::uint64_t flrs = 0;
         std::vector<std::uint64_t> ep_flag_value; ///< per-ep flag sequence
-        std::vector<ServeSlot> slots;             ///< in-flight round
+        std::vector<Slot> slots;                  ///< in-flight round
         std::vector<std::uint64_t> queue;         ///< job ids, head first
         std::vector<ServedJob> jobs;              ///< ledger by request id
     };
 
-    /// Round-based failover path of run_dispatched() (armed by an active
-    /// fault plan with job_max_attempts > 1).
-    MultiGemmResult run_failover(const FaultPlan& plan);
+    /// The dispatch-round engine every scenario runs through. stage_round()
+    /// builds and arms one round on the host CPU: a Call that samples
+    /// RoundTicks::start and writes `fill`, one doorbell per slot (ringing
+    /// `descs[i]` at `slots[i].ep`), one poll per slot on its completion
+    /// flag bounded by `timeout_ns`, and the end-sample Call. A pending
+    /// set_restore_path() snapshot is applied on top, so a restore
+    /// re-stages through here and its pc lands in an identical program.
+    void stage_round(const std::vector<Slot>& slots,
+                     const std::vector<Desc>& descs, std::vector<Desc> fill,
+                     double timeout_ns);
+    /// Append the end-sample Call to `prog`, hand it to the host CPU (exit
+    /// requested when it finishes) and apply a pending restore.
+    void arm(std::vector<cpu::CpuOp> prog);
+    /// Run the armed round to its exit. A clean run that drains with the
+    /// program unfinished is a deadlock; a fault run that does records the
+    /// drain tick as the round end.
+    RunResult run_round(const char* what, bool health_tracked);
+    /// Settle one slot of the finished round from the completion flag at
+    /// `flag`. Disarmed (`plan` null): ok or timed_out, nothing recorded.
+    /// Armed: record the attempt (from `start` to the round end), update
+    /// endpoint health — a failure issues the FLR — and retry while
+    /// attempts remain and `budget` allows, else fail.
+    Verdict settle(const Slot& s, Addr flag, Tick start,
+                   std::vector<JobAttempt>& attempts, const FaultPlan* plan,
+                   std::uint32_t& budget);
+
+    /// Every pending job's descriptor, in job order.
+    [[nodiscard]] std::vector<Desc> pending_descs() const;
+    /// Register the runner.fleet stats and size the health table.
+    void track_health();
     /// One line per endpoint: health state and hysteresis counters.
     [[nodiscard]] std::string health_summary() const;
+    /// Throw the stall diagnostic (health table, occupancy) when every
+    /// endpoint is quarantined with `waiting` jobs still to place.
+    void ensure_usable(const char* who, std::size_t waiting) const;
 
-    /// Least-loaded endpoint in health state `want` that is not already
-    /// claimed this round; -1 when none qualifies. Load is total jobs ever
-    /// run (failures + successes). Determinism contract: ties break by the
-    /// lowest endpoint index — the scan is an ascending-index pass with a
-    /// strict `<`, so selection is a pure function of the health table and
-    /// never of any host-side iteration order that could vary between
-    /// ACCESYS_THREADS values. Shared by run_failover() re-dispatch and
-    /// serve() so both paths inherit the same guarantee.
-    static std::ptrdiff_t least_loaded(const std::vector<EpHealth>& health,
-                                       const std::vector<bool>& claimed,
-                                       EndpointHealth want);
+    /// Least-loaded healthy endpoint not claimed this round, else the
+    /// least-loaded degraded one; -1 when none qualifies. Load is total
+    /// jobs ever run (failures + successes). Determinism contract: ties
+    /// break by the lowest endpoint index — each tier is an ascending-index
+    /// scan with a strict `<`, so selection is a pure function of the
+    /// health table and never of any host-side iteration order that could
+    /// vary between ACCESYS_THREADS values.
+    [[nodiscard]] std::ptrdiff_t pick_usable(
+        const std::vector<bool>& claimed) const;
 
-    /// Success/failure sides of the endpoint-health hysteresis shared by
-    /// run_failover() and serve(). health_failure() also issues the FLR.
+    /// Success/failure sides of the endpoint-health hysteresis (called by
+    /// settle()). health_failure() also issues the FLR.
     void health_success(std::size_t ep, const FaultPlan& plan);
     void health_failure(std::size_t ep, const FaultPlan& plan);
 
@@ -534,6 +581,7 @@ class Runner {
 
     System* sys_;
     std::vector<PendingGemm> pending_;
+    std::shared_ptr<RoundTicks> ticks_ = std::make_shared<RoundTicks>();
     std::string restore_;
     std::vector<EpHealth> health_;
     std::unique_ptr<FleetStats> fleet_;
@@ -547,7 +595,7 @@ class Runner {
 /// run loop writes `path` at the next quiescent point and returns
 /// ExitCause::checkpointed. Call sites observe MultiGemmResult::
 /// checkpointed (or the RunResult cause) and exit; a later invocation
-/// resumes via Runner::set_restore_path. No-op when ACCESYS_CKPT=0.
+/// resumes via Runner::set_restore_path.
 void arm_signal_checkpoint(System& sys, std::string path);
 
 } // namespace accesys::core

@@ -14,9 +14,6 @@
 //   ACCESYS_EAGER_CREDITS=1  per-return PCIe credit events (lazy default)
 //   ACCESYS_THREADS=N        simulation worker threads (default 1 = serial)
 //   ACCESYS_FAULTS=0         ignore any configured FaultPlan (escape hatch)
-//   ACCESYS_CKPT=0           ignore checkpoint requests: --ckpt-at-ns and
-//                            watchdog/signal snapshots become no-ops
-//                            (escape hatch; restore still works)
 #pragma once
 
 namespace accesys {
@@ -26,7 +23,6 @@ struct EnvFlags {
     bool no_hop_fusion = false;
     bool eager_credits = false;
     bool faults = true;
-    bool ckpt = true;
     unsigned threads = 1;
 
     /// The process-wide snapshot (taken on first use, immutable after —

@@ -339,6 +339,7 @@ TEST(FaultRecovery, DegradedEndpointRehabilitatesThenRequarantines)
         std::string stats_text;
         std::string stats_json;
         std::vector<Tick> batch_ends;
+        bool restored = false; ///< the restore leg re-staged batch 3
     };
     const std::array<GemmSpec, 5> specs = {
         GemmSpec{32, 32, 32, 7}, GemmSpec{32, 32, 32, 11},
@@ -357,10 +358,10 @@ TEST(FaultRecovery, DegradedEndpointRehabilitatesThenRequarantines)
         LegResult leg;
         for (std::size_t b = 0; b < specs.size(); ++b) {
             runner.dispatch(1, specs[b], Placement::host, true);
-            if (restore && sys.sim().now() == 0 &&
-                leg.batch_ends.size() + 1 == 3) {
+            if (restore && leg.batch_ends.size() + 1 == 3) {
                 // Batch 3 contains the checkpoint: re-stage it and resume.
                 runner.set_restore_path(ckpt_path);
+                leg.restored = true;
             }
             const auto res = runner.run_dispatched();
             if (res.checkpointed) {
@@ -420,6 +421,8 @@ TEST(FaultRecovery, DegradedEndpointRehabilitatesThenRequarantines)
 
     const LegResult resumed = run_leg(path, 0, true);
     std::remove(path.c_str());
+    EXPECT_FALSE(straight.restored);
+    EXPECT_TRUE(resumed.restored) << "restore leg never applied the snapshot";
     ASSERT_EQ(resumed.batch_ends.size(), 5u);
     EXPECT_EQ(resumed.end, straight.end);
     EXPECT_EQ(resumed.stats_text, straight.stats_text);

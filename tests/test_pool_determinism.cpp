@@ -417,6 +417,43 @@ TEST(CheckpointRoundTrip, SplitRunBitIdenticalAcrossThreads)
     }
 }
 
+TEST(CheckpointRoundTrip, RestoreDispatchedResumesBitIdentical)
+{
+    // The restore-only entry point: restore_dispatched() re-stages the
+    // dispatch round without running it, so the snapshot's CPU pc must land
+    // in a program of the same op shape run_dispatched() staged. Running
+    // the simulator afterwards must finish exactly like the straight run.
+    const SimSnapshot straight = run_gemm_sim(2, 64, /*threads=*/1);
+    ASSERT_TRUE(straight.verified);
+    const std::string path = ::testing::TempDir() + "restore_dispatched.ckpt";
+    const workload::GemmSpec spec{64, 64, 64, /*seed=*/3};
+    core::SystemConfig cfg = core::SystemConfig::paper_default();
+    cfg.set_num_devices(2);
+    cfg.threads = 1;
+    {
+        core::System sys(cfg);
+        core::Runner runner(sys);
+        for (std::size_t d = 0; d < 2; ++d) {
+            runner.dispatch(d, spec, core::Placement::host, /*verify=*/true);
+        }
+        sys.sim().request_checkpoint_at(path, straight.end_tick / 2);
+        ASSERT_TRUE(runner.run_dispatched().checkpointed);
+    }
+
+    core::System sys(cfg);
+    core::Runner runner(sys);
+    for (std::size_t d = 0; d < 2; ++d) {
+        runner.dispatch(d, spec, core::Placement::host, /*verify=*/true);
+    }
+    runner.restore_dispatched(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(sys.sim().run().cause, ExitCause::exit_requested);
+    EXPECT_EQ(sys.sim().now(), straight.end_tick);
+    std::ostringstream text;
+    sys.stats().write_text(text);
+    EXPECT_EQ(text.str(), straight.stats_text);
+}
+
 TEST(CheckpointRoundTrip, SaveSerialRestoreParallel)
 {
     // The config hash deliberately excludes the worker budget: a snapshot

@@ -262,7 +262,7 @@ TEST(Serving, RetryTieBreaksToLowestEndpointIndex)
     // ascending); job 1 times out and its retry sees endpoints 0 and 2
     // with equal load (one success each), so the deterministic tie-break
     // must pick endpoint 0. This is the topology-order regression test
-    // for Runner::least_loaded.
+    // for Runner::pick_usable.
     const std::string trace =
         write_trace("serving_tiebreak.trace",
                     "100 0 32 32 32\n101 0 32 32 32\n102 0 32 32 32\n");
