@@ -50,7 +50,6 @@ std::uint64_t config_hash(const SystemConfig& cfg)
     std::uint64_t h = kFnvBasis;
     h = fnv1a64(h, cfg.host_dram_bytes);
     h = fnv1a64(h, static_cast<std::uint64_t>(cfg.access_mode));
-    h = fnv1a64(h, cfg.host_simple ? 1 : 0);
     h = fnv1a64(h, dbits(cfg.cpu.freq_ghz));
     h = fnv1a64(h, cfg.cpu.mem_window);
     h = fnv1a64(h, cfg.cpu.line_bytes);
@@ -63,17 +62,14 @@ std::uint64_t config_hash(const SystemConfig& cfg)
     h = fnv1a64(h, cfg.smmu.enabled ? 1 : 0);
     h = mix_link(h, cfg.pcie);
 
-    const auto switches = cfg.resolved_switch_tree();
-    h = fnv1a64(h, switches.size());
-    for (const SwitchConfig& sw : switches) {
+    h = fnv1a64(h, cfg.switch_tree.size());
+    for (const SwitchConfig& sw : cfg.switch_tree) {
         h = fnv1a64(h, sw.parent);
         h = fnv1a64(h, dbits(sw.params.latency_ns));
-        h = mix_link(h, sw.uplink);
     }
 
-    const auto devices = cfg.resolved_devices();
-    h = fnv1a64(h, devices.size());
-    for (const DeviceConfig& dev : devices) {
+    h = fnv1a64(h, cfg.devices.size());
+    for (const DeviceConfig& dev : cfg.devices) {
         h = mix_str(h, dev.name);
         h = fnv1a64(h, dev.stream_id);
         h = fnv1a64(h, dev.attach_to);
@@ -172,10 +168,6 @@ void System::build()
         cfg_.fault_plan.completion_timeout_ns > 0) {
         // Propagate the completion-timeout budget to every requester that
         // waits on PCIe completions.
-        cfg_.accel.dma.completion_timeout_ns =
-            cfg_.fault_plan.completion_timeout_ns;
-        cfg_.accel.dma.completion_max_retries =
-            cfg_.fault_plan.completion_max_retries;
         for (DeviceConfig& dev : cfg_.devices) {
             dev.accel.dma.completion_timeout_ns =
                 cfg_.fault_plan.completion_timeout_ns;
@@ -190,7 +182,6 @@ void System::build()
         // Any enabled plan arms DMA fault mode: stray-completion tolerance
         // and poison containment work even without a completion watchdog
         // (FLR drains and poisoned CplDs produce both).
-        cfg_.accel.dma.fault_mode = true;
         for (DeviceConfig& dev : cfg_.devices) {
             dev.accel.dma.fault_mode = true;
         }
@@ -216,15 +207,9 @@ void System::build()
     // --- LLC + host memory (memory-side cache) -------------------------------
     llc_ = std::make_unique<cache::Cache>(sim_, "llc", cfg_.llc);
     membus_->add_downstream("llc_side", host).bind(llc_->cpu_side());
-    if (cfg_.host_simple) {
-        host_simple_mem_ = std::make_unique<mem::SimpleMem>(
-            sim_, "hostmem", cfg_.host_simple_mem, host);
-        llc_->mem_side().bind(host_simple_mem_->port());
-    } else {
-        host_mem_ = std::make_unique<mem::MemCtrl>(sim_, "hostmem",
-                                                   cfg_.host_mem, host);
-        llc_->mem_side().bind(host_mem_->port());
-    }
+    host_mem_ = std::make_unique<mem::MemCtrl>(sim_, "hostmem", cfg_.host_mem,
+                                               host);
+    llc_->mem_side().bind(host_mem_->port());
 
     // --- inbound DMA path: RC -> SMMU -> IOCache -> MemBus --------------------
     iocache_ = std::make_unique<cache::Cache>(sim_, "iocache", cfg_.iocache);

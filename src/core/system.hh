@@ -24,10 +24,8 @@
 // SystemConfig::switch_tree nests additional PcieSwitch levels. All
 // placement knobs auto-carve (TopologyBuilder assigns unique requester
 // ids and a non-overlapping address map), and every device gets a
-// distinct stat prefix ("mf.", "mf1.", ...). An empty device list means
-// the classic single-device system; the single-device accessors below
-// (`accelerator()` == `accelerator(0)`) keep existing call sites working
-// unchanged.
+// distinct stat prefix ("mf.", "mf1.", ...). The single-device accessors
+// below (`accelerator()` == `accelerator(0)`) address device 0.
 #pragma once
 
 #include <memory>
@@ -138,7 +136,6 @@ class System {
     std::unique_ptr<cache::Cache> llc_;
     std::unique_ptr<cache::Cache> iocache_;
     std::unique_ptr<mem::MemCtrl> host_mem_;
-    std::unique_ptr<mem::SimpleMem> host_simple_mem_;
     std::unique_ptr<smmu::Smmu> smmu_;
     std::unique_ptr<pcie::RootComplex> rc_;
     Topology topo_; ///< switch tree, endpoints and their device memory

@@ -31,7 +31,7 @@ enum class Placement {
     devmem, ///< device-side memory, reached over PCIe by the CPU (NUMA)
 };
 
-/// One PCIe endpoint in a declarative multi-accelerator topology.
+/// One PCIe endpoint of the topology (SystemConfig::devices).
 ///
 /// Every placement knob supports auto-carving so that N devices can be
 /// declared without hand-assigning address maps:
@@ -74,10 +74,11 @@ struct DeviceConfig {
 /// One switch in the PCIe switch tree. Index 0 is the root switch whose
 /// uplink faces the root complex; every other switch hangs below an
 /// earlier-indexed parent (the tree is declared in topological order).
+/// Every switch's uplink (toward its parent, or the RC for index 0) is
+/// built from SystemConfig::pcie.
 struct SwitchConfig {
     std::size_t parent = 0; ///< parent switch index (ignored for index 0)
     pcie::SwitchParams params;
-    pcie::LinkParams uplink; ///< link toward the parent (RC for index 0)
 };
 
 /// Overload policy for the Runner's bounded admission queue (see
@@ -138,8 +139,6 @@ struct SystemConfig {
 
     // --- host memory ----------------------------------------------------------
     mem::MemCtrlParams host_mem;
-    bool host_simple = false; ///< use SimpleMem instead of the DRAM model
-    mem::SimpleMemParams host_simple_mem;
     std::uint64_t host_dram_bytes = 4 * kGiB;
 
     // --- fabric ---------------------------------------------------------------
@@ -148,30 +147,16 @@ struct SystemConfig {
     // --- PCIe (Table II: v2.0, 4 Gb/s lanes, x4) -----------------------------
     pcie::LinkParams pcie;
     pcie::RcParams rc;
-    pcie::SwitchParams pcie_switch;
 
     // --- SMMU -----------------------------------------------------------------
     smmu::SmmuParams smmu;
 
-    // --- accelerator (device 0 when `devices` is empty) ----------------------
-    accel::MatrixFlowParams accel;
-
-    // --- device-side memory (device 0 when `devices` is empty) ---------------
-    bool enable_devmem = false;
-    mem::MemCtrlParams devmem_mem;
-    bool devmem_simple = false;
-    mem::SimpleMemParams devmem_simple_mem;
-    std::uint64_t devmem_bytes = 8 * kGiB;
-    mem::XbarParams devmem_xbar;
-    Addr devmem_base = 0x200000000000ULL;
-
-    // --- multi-accelerator topology -------------------------------------------
-    /// Declarative endpoint list. Empty = the classic single-device system
-    /// synthesized from the legacy `accel` / devmem fields above; otherwise
-    /// the TopologyBuilder instantiates one endpoint per entry.
+    // --- PCIe topology -------------------------------------------------------
+    /// Endpoints; the TopologyBuilder instantiates one per entry. Must be
+    /// non-empty (paper_default() declares the single accelerator).
     std::vector<DeviceConfig> devices;
-    /// PCIe switch tree. Empty = one root switch built from `pcie_switch` /
-    /// `pcie` (the paper's Fig. 1 layout).
+    /// PCIe switch tree; [0] is the root switch below the RC. Must be
+    /// non-empty (paper_default() declares the Fig. 1 root switch).
     std::vector<SwitchConfig> switch_tree;
 
     AccessMode access_mode = AccessMode::dc;
@@ -193,8 +178,8 @@ struct SystemConfig {
     /// DDR3-1600 host memory, PCIe 2.0 x4 @ 4 Gb/s, RC 150 ns, switch 50 ns.
     [[nodiscard]] static SystemConfig paper_default();
 
-    /// Set the DMA request size and the RC completion payload limit together
-    /// — the paper's single "packet size" knob (Fig. 4).
+    /// Set every endpoint's DMA request size and the RC completion payload
+    /// limit together — the paper's single "packet size" knob (Fig. 4).
     void set_packet_size(std::uint32_t bytes);
 
     /// Replace the PCIe link with one of `gbps` effective bandwidth,
@@ -205,38 +190,24 @@ struct SystemConfig {
     /// Select the host DRAM technology by preset name ("DDR4", "HBM2", ...).
     void set_host_dram(const std::string& preset);
 
-    /// Enable device-side memory with the given DRAM technology.
+    /// Enable device-side memory with the given DRAM technology on every
+    /// endpoint.
     void set_devmem(const std::string& preset);
 
-    /// Populate `devices` with `n` endpoints below the root switch:
-    /// device 0 mirrors the legacy single-device fields, devices 1..n-1
-    /// clone its parameters with all placement knobs set to auto-carve.
+    /// Resize `devices` to `n` endpoints: device 0 is kept, devices 1..n-1
+    /// clone it with every placement knob set to auto-carve.
     void set_num_devices(std::size_t n);
 
-    /// Append one endpoint cloned from the legacy accelerator fields with
-    /// auto-carved placement; returns it for further tweaking. The first
-    /// call also materialises the legacy device as device 0. The returned
-    /// reference lives in `devices` and is invalidated by the next
-    /// add_device() / set_num_devices() call — finish tweaking one device
-    /// before appending the next, or index `devices` directly.
+    /// Append one endpoint cloned from device 0 with auto-carved placement;
+    /// returns it for further tweaking. The returned reference lives in
+    /// `devices` and is invalidated by the next add_device() /
+    /// set_num_devices() call — finish tweaking one device before
+    /// appending the next, or index `devices` directly.
     DeviceConfig& add_device(std::string name = "");
 
-    /// Append a switch below `parent` and return its index (usable as a
-    /// DeviceConfig::attach_to). The first call materialises the root
-    /// switch (index 0) from the legacy `pcie_switch` / `pcie` fields.
+    /// Append a switch below `parent`, cloning its parameters, and return
+    /// its index (usable as a DeviceConfig::attach_to).
     std::size_t add_switch_below(std::size_t parent);
-
-    /// Effective endpoint list: `devices`, or the synthesized legacy
-    /// single-device entry when it is empty.
-    [[nodiscard]] std::vector<DeviceConfig> resolved_devices() const;
-
-    /// Effective switch tree: `switch_tree`, or the single legacy root.
-    [[nodiscard]] std::vector<SwitchConfig> resolved_switch_tree() const;
-
-    [[nodiscard]] std::size_t device_count() const
-    {
-        return devices.empty() ? 1 : devices.size();
-    }
 
     void validate() const;
 };

@@ -7,9 +7,9 @@ namespace accesys::core {
 
 namespace {
 
-/// Region bases for auto-carved placements. Device 0's defaults (from
-/// MatrixFlowParams / SystemConfig) sit exactly at these bases, so the
-/// single-device address map is unchanged.
+/// Region bases for auto-carved placements. Device 0 of paper_default()
+/// sits exactly at these bases (explicit BAR0 / staging defaults from
+/// MatrixFlowParams, auto-carved device memory).
 constexpr Addr kBarRegionBase = 0x100000000000ULL;
 constexpr Addr kDevmemRegionBase = 0x200000000000ULL;
 constexpr Addr kStagingRegionBase = 0x700000000000ULL;
@@ -49,11 +49,13 @@ std::string index_suffix(std::size_t i)
 ResolvedTopology TopologyBuilder::resolve(const SystemConfig& cfg)
 {
     ResolvedTopology topo;
-    topo.switches = cfg.resolved_switch_tree();
-    const std::vector<DeviceConfig> devs = cfg.resolved_devices();
+    const std::vector<SwitchConfig>& switches = cfg.switch_tree;
+    const std::vector<DeviceConfig>& devs = cfg.devices;
+    require_cfg(!switches.empty() && !devs.empty(),
+                "the topology needs at least one switch and one device");
 
-    for (std::size_t i = 1; i < topo.switches.size(); ++i) {
-        require_cfg(topo.switches[i].parent < i,
+    for (std::size_t i = 1; i < switches.size(); ++i) {
+        require_cfg(switches[i].parent < i,
                     "switch tree must be declared in topological order");
     }
 
@@ -101,7 +103,7 @@ ResolvedTopology TopologyBuilder::resolve(const SystemConfig& cfg)
                     r.name, "'");
         r.accel = dev.accel;
         r.attach_to = dev.attach_to;
-        require_cfg(r.attach_to < topo.switches.size(), "device '", r.name,
+        require_cfg(r.attach_to < switches.size(), "device '", r.name,
                     "' attaches to a switch outside the tree");
         r.link = dev.link.value_or(cfg.pcie);
         r.link.validate();
@@ -169,6 +171,7 @@ Topology TopologyBuilder::build(Simulator& sim, mem::BackingStore& store,
                                 pcie::RootComplex& rc)
 {
     const ResolvedTopology plan = resolve(cfg);
+    const std::vector<SwitchConfig>& switches = cfg.switch_tree;
     const mem::AddrRange host(0, cfg.host_dram_bytes);
 
     Topology topo;
@@ -176,12 +179,11 @@ Topology TopologyBuilder::build(Simulator& sim, mem::BackingStore& store,
 
     // Union of BARs / requester ids per nested-switch subtree, so every
     // parent switch can route memory TLPs and completions down the tree.
-    std::vector<std::vector<mem::AddrRange>> subtree_bars(
-        plan.switches.size());
-    std::vector<std::vector<std::uint16_t>> subtree_ids(plan.switches.size());
+    std::vector<std::vector<mem::AddrRange>> subtree_bars(switches.size());
+    std::vector<std::vector<std::uint16_t>> subtree_ids(switches.size());
     for (const ResolvedDevice& dev : plan.devices) {
         for (std::size_t s = dev.attach_to; s != 0;
-             s = plan.switches[s].parent) {
+             s = switches[s].parent) {
             const auto bars = dev.bars();
             subtree_bars[s].insert(subtree_bars[s].end(), bars.begin(),
                                    bars.end());
@@ -190,20 +192,20 @@ Topology TopologyBuilder::build(Simulator& sim, mem::BackingStore& store,
     }
 
     // --- switch tree ---------------------------------------------------------
-    for (std::size_t i = 0; i < plan.switches.size(); ++i) {
+    for (std::size_t i = 0; i < switches.size(); ++i) {
         topo.switches.push_back(std::make_unique<pcie::PcieSwitch>(
-            sim, "pcie_sw" + index_suffix(i), plan.switches[i].params));
+            sim, "pcie_sw" + index_suffix(i), switches[i].params));
         const std::string link_name =
             i == 0 ? "link_up" : "pcie_sw" + std::to_string(i) + "_up";
-        topo.uplinks.push_back(std::make_unique<pcie::PcieLink>(
-            sim, link_name, plan.switches[i].uplink));
+        topo.uplinks.push_back(
+            std::make_unique<pcie::PcieLink>(sim, link_name, cfg.pcie));
     }
     rc.connect_pcie(topo.uplinks[0]->end_a());
     topo.switches[0]->set_upstream(topo.uplinks[0]->end_b());
-    for (std::size_t i = 1; i < plan.switches.size(); ++i) {
+    for (std::size_t i = 1; i < switches.size(); ++i) {
         require_cfg(!subtree_ids[i].empty(), "switch ", i,
                     " has no endpoints below it");
-        topo.switches[plan.switches[i].parent]->add_downstream(
+        topo.switches[switches[i].parent]->add_downstream(
             topo.uplinks[i]->end_a(), subtree_bars[i], subtree_ids[i]);
         topo.switches[i]->set_upstream(topo.uplinks[i]->end_b());
     }

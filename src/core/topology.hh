@@ -15,10 +15,12 @@
 //      id set of each subtree so memory TLPs route down by BAR and
 //      completions route down by requester id at every level.
 //
-// Naming keeps the single-device layout stable: device 0 and its plumbing
-// are "mf" / "link_dn" / "devmem_xbar" / "devmem" exactly as before, and
-// device i>0 appends the index ("mf1", "link_dn1", ...), which is what
-// gives every device a distinct stat prefix in the registry.
+// Naming: device 0 and its plumbing are "mf" / "link_dn" / "devmem_xbar" /
+// "devmem" and the root switch is "pcie_sw" with uplink "link_up" — the
+// paper's single-device names. Device i>0 appends the index ("mf1",
+// "link_dn1", ...) and switch i>0 is "pcie_sw<i>" with uplink
+// "pcie_sw<i>_up", which is what gives every component a distinct stat
+// prefix in the registry.
 #pragma once
 
 #include <memory>
@@ -70,9 +72,8 @@ struct ResolvedDevice {
     }
 };
 
-/// The planned address map + switch tree, before instantiation.
+/// The planned address map, before instantiation.
 struct ResolvedTopology {
-    std::vector<SwitchConfig> switches;
     std::vector<ResolvedDevice> devices;
     /// CPU-visible PCIe window covering every BAR and devmem aperture.
     mem::AddrRange pcie_window{};

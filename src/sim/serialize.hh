@@ -100,7 +100,9 @@ class Ckpt {
             ensure(read_pos_ + n <= read_end_,
                    "checkpoint section '", cur_name_,
                    "' truncated (field list mismatch)");
-            std::memcpy(p, read_base_ + read_pos_, n);
+            if (n != 0) { // an empty vector's data() may be null
+                std::memcpy(p, read_base_ + read_pos_, n);
+            }
             read_pos_ += n;
         }
     }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/system_config.hh"
+#include "core/topology.hh"
 #include "mem/dram_config.hh"
 
 namespace accesys::core {
@@ -20,9 +21,11 @@ TEST(SystemConfig, PaperDefaultMatchesTableII)
     EXPECT_DOUBLE_EQ(cfg.pcie.lane_gbps, 4.0);
     EXPECT_EQ(cfg.pcie.gen, pcie::Gen::gen2);
     EXPECT_DOUBLE_EQ(cfg.rc.latency_ns, 150.0);
-    EXPECT_DOUBLE_EQ(cfg.pcie_switch.latency_ns, 50.0);
-    EXPECT_EQ(cfg.accel.sa.rows, 16u);
-    EXPECT_EQ(cfg.accel.sa.cols, 16u);
+    ASSERT_EQ(cfg.switch_tree.size(), 1u);
+    EXPECT_DOUBLE_EQ(cfg.switch_tree[0].params.latency_ns, 50.0);
+    ASSERT_EQ(cfg.devices.size(), 1u);
+    EXPECT_EQ(cfg.devices[0].accel.sa.rows, 16u);
+    EXPECT_EQ(cfg.devices[0].accel.sa.cols, 16u);
     EXPECT_NO_THROW(cfg.validate());
 }
 
@@ -30,8 +33,8 @@ TEST(SystemConfig, SetPacketSizeSyncsKnobs)
 {
     auto cfg = SystemConfig::paper_default();
     cfg.set_packet_size(1024);
-    EXPECT_EQ(cfg.accel.dma.request_bytes, 1024u);
-    EXPECT_EQ(cfg.accel.dma.write_bytes, 1024u);
+    EXPECT_EQ(cfg.devices[0].accel.dma.request_bytes, 1024u);
+    EXPECT_EQ(cfg.devices[0].accel.dma.write_bytes, 1024u);
     EXPECT_EQ(cfg.rc.max_payload_bytes, 1024u);
 }
 
@@ -50,17 +53,16 @@ TEST(SystemConfig, SetHostDram)
     auto cfg = SystemConfig::paper_default();
     cfg.set_host_dram("HBM2");
     EXPECT_EQ(cfg.host_mem.dram.name, "HBM2");
-    EXPECT_FALSE(cfg.host_simple);
     EXPECT_THROW(cfg.set_host_dram("nvram"), ConfigError);
 }
 
 TEST(SystemConfig, SetDevmemEnables)
 {
     auto cfg = SystemConfig::paper_default();
-    EXPECT_FALSE(cfg.enable_devmem);
+    EXPECT_FALSE(cfg.devices[0].enable_devmem);
     cfg.set_devmem("GDDR6");
-    EXPECT_TRUE(cfg.enable_devmem);
-    EXPECT_EQ(cfg.devmem_mem.dram.name, "GDDR6");
+    EXPECT_TRUE(cfg.devices[0].enable_devmem);
+    EXPECT_EQ(cfg.devices[0].devmem_mem.dram.name, "GDDR6");
 }
 
 TEST(SystemConfig, ValidationCatchesBadConfigs)
@@ -70,7 +72,7 @@ TEST(SystemConfig, ValidationCatchesBadConfigs)
     EXPECT_THROW(cfg.validate(), ConfigError);
 
     cfg = SystemConfig::paper_default();
-    cfg.accel.bar0_base = 0x1000; // overlaps host DRAM
+    cfg.devices[0].accel.bar0_base = 0x1000; // overlaps host DRAM
     EXPECT_THROW(cfg.validate(), ConfigError);
 
     cfg = SystemConfig::paper_default();
@@ -91,10 +93,68 @@ TEST(SystemConfig, DefaultAccessModeIsDc)
 TEST(SystemConfig, MatrixFlowDefaultsMatchPaper)
 {
     const auto cfg = SystemConfig::paper_default();
-    EXPECT_EQ(cfg.accel.local_buffer_bytes, 256 * kKiB);
+    const accel::MatrixFlowParams& accel = cfg.devices[0].accel;
+    EXPECT_EQ(accel.local_buffer_bytes, 256 * kKiB);
     // Streaming dataflow: one tile-column panels (16 B/cycle intensity).
-    EXPECT_EQ(cfg.accel.max_block_cols, 16u);
-    EXPECT_DOUBLE_EQ(cfg.accel.sa.freq_ghz, 1.0);
+    EXPECT_EQ(accel.max_block_cols, 16u);
+    EXPECT_DOUBLE_EQ(accel.sa.freq_ghz, 1.0);
+}
+
+// The setters act on the topology lists, so a sweep may apply them in any
+// order relative to set_num_devices() / add_switch_below().
+TEST(SystemConfig, SettersReachEveryEndpointInAnyOrder)
+{
+    auto cfg = SystemConfig::paper_default();
+    cfg.set_num_devices(2);
+    cfg.set_packet_size(1024);
+    cfg.set_devmem("HBM2");
+    const auto plan = TopologyBuilder::resolve(cfg);
+    ASSERT_EQ(plan.devices.size(), 2u);
+    for (const ResolvedDevice& dev : plan.devices) {
+        EXPECT_EQ(dev.accel.dma.request_bytes, 1024u) << dev.name;
+        EXPECT_EQ(dev.accel.dma.write_bytes, 1024u) << dev.name;
+        EXPECT_TRUE(dev.devmem_enabled) << dev.name;
+        EXPECT_EQ(dev.devmem_mem.dram.name, "HBM2") << dev.name;
+    }
+    EXPECT_EQ(cfg.rc.max_payload_bytes, 1024u);
+
+    // Reversed order: set_num_devices() clones the already-tuned device 0.
+    auto rev = SystemConfig::paper_default();
+    rev.set_packet_size(1024);
+    rev.set_devmem("HBM2");
+    rev.set_num_devices(2);
+    const auto rev_plan = TopologyBuilder::resolve(rev);
+    for (std::size_t i = 0; i < plan.devices.size(); ++i) {
+        EXPECT_EQ(rev_plan.devices[i].accel.dma.request_bytes, 1024u);
+        EXPECT_EQ(rev_plan.devices[i].devmem, plan.devices[i].devmem);
+    }
+
+    // Every switch uplink is built from the system-wide link, even for a
+    // switch declared before the link was retuned.
+    cfg.devices[1].attach_to = cfg.add_switch_below(0);
+    cfg.set_pcie_target_gbps(64.0, 16);
+    Simulator sim;
+    mem::BackingStore store;
+    pcie::RootComplex rc(sim, "rc", cfg.rc);
+    const Topology topo = TopologyBuilder::build(sim, store, cfg, rc);
+    ASSERT_EQ(topo.uplinks.size(), 2u);
+    for (const auto& uplink : topo.uplinks) {
+        EXPECT_NEAR(uplink->params().effective_gbps(), 64.0, 1e-9)
+            << uplink->name();
+    }
+}
+
+TEST(SystemConfig, ValidationRejectsEmptyTopology)
+{
+    auto cfg = SystemConfig::paper_default();
+    cfg.devices.clear();
+    EXPECT_THROW(cfg.validate(), ConfigError);
+    EXPECT_THROW((void)TopologyBuilder::resolve(cfg), ConfigError);
+
+    cfg = SystemConfig::paper_default();
+    cfg.switch_tree.clear();
+    EXPECT_THROW(cfg.validate(), ConfigError);
+    EXPECT_THROW((void)TopologyBuilder::resolve(cfg), ConfigError);
 }
 
 } // namespace

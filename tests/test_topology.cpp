@@ -41,7 +41,7 @@ TEST(TopologyResolve, AutoCarvesDistinctPlacements)
 
     // Device 0 keeps the classic single-device address map and name.
     EXPECT_EQ(plan.devices[0].name, "mf");
-    EXPECT_EQ(plan.devices[0].accel.bar0_base, cfg.accel.bar0_base);
+    EXPECT_EQ(plan.devices[0].accel.bar0_base, cfg.devices[0].accel.bar0_base);
     EXPECT_EQ(plan.devices[0].requester_id(), 1u);
 
     // The window covers every BAR without touching host DRAM.
@@ -89,7 +89,7 @@ TEST(TopologyResolve, PerDeviceDevmemCarvesDisjointApertures)
 {
     auto cfg = SystemConfig::paper_default();
     cfg.set_devmem("HBM2");
-    cfg.devmem_bytes = kGiB;
+    cfg.devices[0].devmem_bytes = kGiB;
     cfg.set_num_devices(3);
     const auto plan = TopologyBuilder::resolve(cfg);
     for (std::size_t i = 0; i < plan.devices.size(); ++i) {
@@ -232,7 +232,7 @@ TEST(MultiSystem, PerDeviceDevmemAllocatesAndComputes)
 {
     auto cfg = SystemConfig::paper_default();
     cfg.set_devmem("HBM2");
-    cfg.devmem_bytes = kGiB;
+    cfg.devices[0].devmem_bytes = kGiB;
     cfg.set_num_devices(2);
     System sys(cfg);
 
