@@ -35,15 +35,11 @@ DevMemMover::DevMemMover(Simulator& sim, std::string name,
       params_(params),
       devmem_range_(devmem_range),
       store_(&store),
-      port_(this->name() + ".port", *this)
+      port_(this->name() + ".port", this,
+            mem::Handlers<&DevMemMover::recv_resp, &DevMemMover::retry_req>{})
 {
     require_cfg(params_.request_bytes >= 16 && params_.max_outstanding >= 1,
                 this->name(), ": bad mover parameters");
-    port_.set_fast_path(
-        [](void* s, mem::PacketPtr& pkt) {
-            return static_cast<DevMemMover*>(s)->recv_resp(pkt);
-        },
-        [](void* s) { static_cast<DevMemMover*>(s)->retry_req(); }, this);
 }
 
 void DevMemMover::submit(TransferJob job)

@@ -51,9 +51,7 @@ class PcieDmaMover final : public DataMover {
 };
 
 /// Pulls/pushes data against the device-side memory controller directly.
-class DevMemMover final : public SimObject,
-                          public DataMover,
-                          private mem::Requestor {
+class DevMemMover final : public SimObject, public DataMover {
   public:
     struct Params {
         std::uint32_t request_bytes = 256;
@@ -86,8 +84,8 @@ class DevMemMover final : public SimObject,
     void report_occupancy(std::string& out) const override;
 
   private:
-    bool recv_resp(mem::PacketPtr& pkt) override;
-    void retry_req() override
+    bool recv_resp(mem::PacketPtr& pkt);
+    void retry_req()
     {
         blocked_ = false;
         pump();

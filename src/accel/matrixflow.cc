@@ -37,22 +37,13 @@ MatrixFlowDevice::MatrixFlowDevice(Simulator& sim, std::string name,
       sa_(params.sa),
       dma_(sim, this->name() + ".dma", params.dma, *this, store),
       pcie_mover_(dma_, host_range),
-      aperture_port_(this->name() + ".aperture", *this),
-      aperture_q_(sim, this->name() + ".aperture_q",
-                  [](void* s, mem::PacketPtr& pkt) {
-                      return static_cast<MatrixFlowDevice*>(s)
-                          ->aperture_port_.send_req(pkt);
-                  },
-                  this)
+      aperture_port_(this->name() + ".aperture", this,
+                     mem::Handlers<&MatrixFlowDevice::recv_resp,
+                                   &MatrixFlowDevice::retry_req>{}),
+      aperture_q_(sim, this->name() + ".aperture_q", aperture_port_)
 {
     params_.validate();
     dma_.set_continuation_listener(this);
-    aperture_port_.set_fast_path(
-        [](void* s, mem::PacketPtr& pkt) {
-            return static_cast<MatrixFlowDevice*>(s)->recv_resp(pkt);
-        },
-        [](void* s) { static_cast<MatrixFlowDevice*>(s)->retry_req(); },
-        this);
     compute_event_.set_name(this->name() + ".compute_done");
     compute_event_.set_callback([this] { compute_done(); });
     flr_kick_event_.set_name(this->name() + ".flr_kick");

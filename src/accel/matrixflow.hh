@@ -61,8 +61,7 @@ inline constexpr Addr kRegTileCount = 0x18; ///< R: tiles computed
 
 class MatrixFlowDevice final : public pcie::Endpoint,
                                public dma::DmaPort,
-                               public dma::TransferListener,
-                               private mem::Requestor {
+                               public dma::TransferListener {
   public:
     MatrixFlowDevice(Simulator& sim, std::string name,
                      const MatrixFlowParams& params,
@@ -151,9 +150,10 @@ class MatrixFlowDevice final : public pcie::Endpoint,
     pcie::SentHook decode_sent_hook(std::uint64_t code) override;
 
   private:
-    // mem::Requestor — device-memory aperture traffic (CPU NUMA accesses).
-    bool recv_resp(mem::PacketPtr& pkt) override;
-    void retry_req() override { aperture_q_.retry(); }
+    // aperture_port_ handlers — device-memory aperture traffic (CPU NUMA
+    // accesses).
+    bool recv_resp(mem::PacketPtr& pkt);
+    void retry_req() { aperture_q_.retry(); }
 
     /// Handles MRd/MWr TLPs that target the DevMem aperture BAR.
     void recv_tlp(unsigned port_idx, pcie::TlpPtr tlp) override;

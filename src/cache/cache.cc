@@ -37,18 +37,12 @@ void CacheParams::validate() const
 Cache::Cache(Simulator& sim, std::string name, const CacheParams& params)
     : SimObject(sim, std::move(name)),
       params_(params),
-      cpu_port_(this->name() + ".cpu_side", *this),
-      mem_port_(this->name() + ".mem_side", *this),
-      resp_q_(sim, this->name() + ".resp_q",
-              [](void* s, mem::PacketPtr& pkt) {
-                  return static_cast<Cache*>(s)->cpu_port_.send_resp(pkt);
-              },
-              this),
-      mem_q_(sim, this->name() + ".mem_q",
-             [](void* s, mem::PacketPtr& pkt) {
-                 return static_cast<Cache*>(s)->mem_port_.send_req(pkt);
-             },
-             this),
+      cpu_port_(this->name() + ".cpu_side", this,
+                mem::Handlers<&Cache::recv_req, &Cache::retry_resp>{}),
+      mem_port_(this->name() + ".mem_side", this,
+                mem::Handlers<&Cache::recv_resp, &Cache::retry_req>{}),
+      resp_q_(sim, this->name() + ".resp_q", cpu_port_),
+      mem_q_(sim, this->name() + ".mem_q", mem_port_),
       fill_requestor_(mem::alloc_requestor_id()),
       pkt_pool_(&mem::packet_pool())
 {
@@ -73,16 +67,6 @@ Cache::Cache(Simulator& sim, std::string name, const CacheParams& params)
     set_mask_ = num_sets_ - 1;
     resp_q_.set_drain_hook(
         [](void* s) { static_cast<Cache*>(s)->maybe_unblock(); }, this);
-    cpu_port_.set_fast_path(
-        [](void* s, mem::PacketPtr& pkt) {
-            return static_cast<Cache*>(s)->recv_req(pkt);
-        },
-        [](void* s) { static_cast<Cache*>(s)->retry_resp(); }, this);
-    mem_port_.set_fast_path(
-        [](void* s, mem::PacketPtr& pkt) {
-            return static_cast<Cache*>(s)->recv_resp(pkt);
-        },
-        [](void* s) { static_cast<Cache*>(s)->retry_req(); }, this);
 }
 
 Cache::Line* Cache::find_line(Addr addr)

@@ -43,10 +43,7 @@ struct CacheParams {
     }
 };
 
-class Cache final : public SimObject,
-                    public mem::Snooper,
-                    private mem::Responder,
-                    private mem::Requestor {
+class Cache final : public SimObject, public mem::Snooper {
   public:
     Cache(Simulator& sim, std::string name, const CacheParams& params);
 
@@ -135,13 +132,13 @@ class Cache final : public SimObject,
         std::vector<mem::PacketPtr> targets;
     };
 
-    // mem::Responder (cpu side)
-    bool recv_req(mem::PacketPtr& pkt) override;
-    void retry_resp() override { resp_q_.retry(); }
+    // cpu_port_ handlers
+    bool recv_req(mem::PacketPtr& pkt);
+    void retry_resp() { resp_q_.retry(); }
 
-    // mem::Requestor (mem side)
-    bool recv_resp(mem::PacketPtr& pkt) override;
-    void retry_req() override { mem_q_.retry(); }
+    // mem_port_ handlers
+    bool recv_resp(mem::PacketPtr& pkt);
+    void retry_req() { mem_q_.retry(); }
 
     [[nodiscard]] Addr line_addr(Addr a) const
     {

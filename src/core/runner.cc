@@ -554,16 +554,22 @@ void Runner::serialize_serving(Ckpt& ar)
     ar.pod_vec(st.ep_flag_value);
     ar.pod_vec(st.slots);
     ar.pod_vec(st.queue);
-    ar.pod_vec(health_);
+    ar.vec(health_, [&ar](EpHealth& h) {
+        ar.io(h.state, h.consecutive_failures, h.consecutive_successes,
+              h.failures_total, h.successes_total);
+    });
     std::uint64_t n = st.jobs.size();
     ar.pod(n);
     if (ar.loading()) {
         st.jobs.assign(static_cast<std::size_t>(n), ServedJob{});
     }
     for (ServedJob& j : st.jobs) {
-        ar.io(j.id, j.tenant, j.spec, j.arrival, j.first_dispatch,
-              j.last_dispatch, j.done, j.status, j.verified, j.mismatches);
-        ar.pod_vec(j.attempts);
+        ar.io(j.id, j.tenant, j.spec.m, j.spec.n, j.spec.k, j.spec.seed,
+              j.arrival, j.first_dispatch, j.last_dispatch, j.done, j.status,
+              j.verified, j.mismatches);
+        ar.vec(j.attempts, [&ar](JobAttempt& a) {
+            ar.io(a.device, a.status, a.start, a.end);
+        });
     }
 }
 

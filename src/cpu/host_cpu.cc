@@ -32,15 +32,11 @@ HostCpu::HostCpu(Simulator& sim, std::string name, const CpuParams& params,
       Clocked(period_from_ghz(params.freq_ghz)),
       params_(params),
       store_(&store),
-      port_(this->name() + ".mem_port", *this),
+      port_(this->name() + ".mem_port", this,
+            mem::Handlers<&HostCpu::recv_resp, &HostCpu::retry_req>{}),
       requestor_id_(mem::alloc_requestor_id())
 {
     params_.validate();
-    port_.set_fast_path(
-        [](void* s, mem::PacketPtr& pkt) {
-            return static_cast<HostCpu*>(s)->recv_resp(pkt);
-        },
-        [](void* s) { static_cast<HostCpu*>(s)->retry_req(); }, this);
     wake_event_.set_name(this->name() + ".wake");
     wake_event_.set_callback([this] { on_wake(); });
     poll_event_.set_name(this->name() + ".poll");

@@ -87,9 +87,7 @@ struct Call {
 
 using CpuOp = std::variant<MmioWrite, PollFlag, VectorOp, Delay, Call>;
 
-class HostCpu final : public SimObject,
-                      public Clocked,
-                      private mem::Requestor {
+class HostCpu final : public SimObject, public Clocked {
   public:
     HostCpu(Simulator& sim, std::string name, const CpuParams& params,
             mem::BackingStore& store);
@@ -116,8 +114,8 @@ class HostCpu final : public SimObject,
     void report_occupancy(std::string& out) const override;
 
   private:
-    bool recv_resp(mem::PacketPtr& pkt) override;
-    void retry_req() override
+    bool recv_resp(mem::PacketPtr& pkt);
+    void retry_req()
     {
         blocked_ = false;
         // Only vector ops use backpressured streaming; a retry can only be

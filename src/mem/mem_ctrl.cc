@@ -27,21 +27,13 @@ MemCtrl::MemCtrl(Simulator& sim, std::string name,
       params_(params),
       range_(range),
       dram_(params.dram),
-      port_(this->name() + ".port", *this),
-      resp_q_(sim, this->name() + ".resp_q",
-              [](void* s, PacketPtr& pkt) {
-                  return static_cast<MemCtrl*>(s)->port_.send_resp(pkt);
-              },
-              this),
+      port_(this->name() + ".port", this,
+            Handlers<&MemCtrl::recv_req, &MemCtrl::retry_resp>{}),
+      resp_q_(sim, this->name() + ".resp_q", port_),
       issue_event_(this->name() + ".issue", nullptr)
 {
     issue_event_.set_raw_callback(
         [](void* s) { static_cast<MemCtrl*>(s)->issue_next(); }, this);
-    port_.set_fast_path(
-        [](void* s, PacketPtr& pkt) {
-            return static_cast<MemCtrl*>(s)->recv_req(pkt);
-        },
-        [](void* s) { static_cast<MemCtrl*>(s)->retry_resp(); }, this);
     require_cfg(params_.read_queue_capacity > 0 &&
                     params_.write_queue_capacity > 0,
                 this->name(), ": zero queue capacity");
@@ -224,27 +216,20 @@ SimpleMem::SimpleMem(Simulator& sim, std::string name,
     : SimObject(sim, std::move(name)),
       params_(params),
       range_(range),
-      port_(this->name() + ".port", *this),
-      resp_q_(sim, this->name() + ".resp_q",
-              [](void* s, PacketPtr& pkt) {
-                  auto* self = static_cast<SimpleMem*>(s);
-                  const bool ok = self->port_.send_resp(pkt);
-                  if (ok) {
-                      --self->in_flight_;
-                      if (self->blocked_upstream_) {
-                          self->blocked_upstream_ = false;
-                          self->port_.send_retry_req();
-                      }
-                  }
-                  return ok;
-              },
-              this)
+      port_(this->name() + ".port", this,
+            Handlers<&SimpleMem::recv_req, &SimpleMem::retry_resp>{}),
+      resp_q_(sim, this->name() + ".resp_q", port_)
 {
-    port_.set_fast_path(
-        [](void* s, PacketPtr& pkt) {
-            return static_cast<SimpleMem*>(s)->recv_req(pkt);
+    // A response left, so a slot is free: wake a refused requestor.
+    resp_q_.set_drain_hook(
+        [](void* s) {
+            auto* self = static_cast<SimpleMem*>(s);
+            if (self->blocked_upstream_) {
+                self->blocked_upstream_ = false;
+                self->port_.send_retry_req();
+            }
         },
-        [](void* s) { static_cast<SimpleMem*>(s)->retry_resp(); }, this);
+        this);
     require_cfg(params_.bandwidth_gbps > 0, this->name(), ": zero bandwidth");
     latency_ticks_ = ticks_from_ns(params_.latency_ns);
     ps_per_byte_ = ps_per_byte(params_.bandwidth_gbps);
@@ -255,7 +240,7 @@ bool SimpleMem::recv_req(PacketPtr& pkt)
     if (!range_.contains(pkt->addr(), pkt->size())) {
         panic(name(), ": request outside range: ", pkt->describe());
     }
-    if (in_flight_ >= params_.queue_capacity) {
+    if (resp_q_.size() >= params_.queue_capacity) {
         blocked_upstream_ = true;
         return false;
     }
@@ -275,16 +260,10 @@ bool SimpleMem::recv_req(PacketPtr& pkt)
 
     const bool posted = pkt->flags.posted && pkt->is_write();
     if (!posted) {
-        ++in_flight_;
         pkt->make_response();
         resp_q_.push(std::move(pkt), done);
     }
     return true;
-}
-
-void SimpleMem::retry_resp()
-{
-    resp_q_.retry();
 }
 
 void MemCtrl::serialize(Ckpt& ar)
@@ -299,7 +278,7 @@ void MemCtrl::serialize(Ckpt& ar)
             ar.io(read_keys_[i]);
         }
         for (std::size_t i = 0; i < nw; ++i) {
-            ar.io(write_q_[i]);
+            ar.io(write_q_[i].addr, write_q_[i].size);
         }
     } else {
         read_q_.clear();
@@ -315,7 +294,7 @@ void MemCtrl::serialize(Ckpt& ar)
         }
         for (std::uint64_t i = 0; i < nw; ++i) {
             WriteJob job{};
-            ar.io(job);
+            ar.io(job.addr, job.size);
             write_q_.push_back(job);
         }
     }
@@ -340,20 +319,17 @@ void MemCtrl::report_occupancy(std::string& out) const
 
 void SimpleMem::serialize(Ckpt& ar)
 {
-    std::uint64_t inflight = in_flight_;
-    ar.io(bus_free_, inflight, blocked_upstream_);
-    in_flight_ = static_cast<std::size_t>(inflight);
+    ar.io(bus_free_, blocked_upstream_);
     port_.serialize(ar);
     resp_q_.serialize(ar);
 }
 
 void SimpleMem::report_occupancy(std::string& out) const
 {
-    if (in_flight_ == 0 && resp_q_.empty() && !blocked_upstream_) {
+    if (resp_q_.empty() && !blocked_upstream_) {
         return;
     }
-    out += "  " + name() + ": in_flight=" + std::to_string(in_flight_) +
-           ", resp_q=" + std::to_string(resp_q_.size()) +
+    out += "  " + name() + ": resp_q=" + std::to_string(resp_q_.size()) +
            (blocked_upstream_ ? ", upstream refused" : "") + "\n";
 }
 

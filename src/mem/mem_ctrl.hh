@@ -29,7 +29,7 @@ struct MemCtrlParams {
     double write_drain_threshold = 0.75;
 };
 
-class MemCtrl final : public SimObject, private Responder {
+class MemCtrl final : public SimObject {
   public:
     MemCtrl(Simulator& sim, std::string name, const MemCtrlParams& params,
             AddrRange range);
@@ -50,9 +50,9 @@ class MemCtrl final : public SimObject, private Responder {
     void report_occupancy(std::string& out) const override;
 
   private:
-    // Responder interface.
-    bool recv_req(PacketPtr& pkt) override;
-    void retry_resp() override { resp_q_.retry(); }
+    // port_ handlers
+    bool recv_req(PacketPtr& pkt);
+    void retry_resp() { resp_q_.retry(); }
 
     struct WriteJob {
         Addr addr;
@@ -125,7 +125,7 @@ struct SimpleMemParams {
     std::size_t queue_capacity = 64;
 };
 
-class SimpleMem final : public SimObject, private Responder {
+class SimpleMem final : public SimObject {
   public:
     SimpleMem(Simulator& sim, std::string name, const SimpleMemParams& params,
               AddrRange range);
@@ -138,8 +138,8 @@ class SimpleMem final : public SimObject, private Responder {
     void report_occupancy(std::string& out) const override;
 
   private:
-    bool recv_req(PacketPtr& pkt) override;
-    void retry_resp() override;
+    bool recv_req(PacketPtr& pkt);
+    void retry_resp() { resp_q_.retry(); }
 
     SimpleMemParams params_;
     Tick latency_ticks_ = 0;
@@ -148,7 +148,6 @@ class SimpleMem final : public SimObject, private Responder {
     ResponsePort port_;
     PacketQueue resp_q_;
     Tick bus_free_ = 0;
-    std::size_t in_flight_ = 0;
     bool blocked_upstream_ = false;
 
     stats::Scalar n_reads_{stat_group(), "reads", "read requests"};

@@ -73,8 +73,8 @@ void Packet::serialize(Ckpt& ar)
           created_at_, flags.uncacheable, flags.from_device,
           flags.needs_translation, flags.posted, flags.poisoned,
           route_depth_, payload_size_);
-    ar.raw(route_.data(), route_.size() * sizeof(route_[0]));
-    ar.raw(payload_.data(), payload_.size());
+    ar.raw(route_.data(), route_depth_ * sizeof(route_[0]));
+    ar.raw(payload_.data(), payload_size_);
 }
 
 void PacketPool::serialize_counters(Ckpt& ar)

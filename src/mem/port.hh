@@ -4,21 +4,22 @@
 //   * A requestor owns a RequestPort; a responder owns a ResponsePort; the
 //     two are bound 1:1.
 //   * RequestPort::send_req(pkt) delivers to the responder. A `false` return
-//     means "busy": the caller keeps ownership and must wait for
-//     Requestor::retry_req() before re-sending. At most one blocked request
-//     per port.
+//     means "busy": the caller keeps ownership and must wait for the
+//     requestor's retry handler before re-sending. At most one blocked
+//     request per port.
 //   * Responses flow the other way with the symmetric rules.
 //   * `PacketQueue` implements the common egress pattern: schedule a packet
 //     to leave at a future tick, retry automatically on backpressure.
 //
-// Dispatch structure: the Requestor/Responder interfaces exist for wiring
-// and documentation, but steady-state delivery does not go through their
-// vtables. Each port carries a raw `fn(ctx, pkt)` binding (the same trick
-// Event::set_raw_callback uses); it defaults to a shim that makes the
-// virtual call, and owners devirtualize it in their constructors via
-// set_fast_path() with lambdas that call their concrete handlers directly.
-// PacketQueue's send functor and drain hook are raw fn/ctx pairs for the
-// same reason (no std::function indirection per forwarded packet).
+// Dispatch structure: a port is bound to its owner exactly once, at
+// construction, with the owner's two handlers named as member-function
+// pointers — `port_(name, this, mem::Handlers<&Cache::recv_req,
+// &Cache::retry_resp>{})`. The constructor template instantiates one static
+// trampoline per handler, so delivery is a raw `fn(ctx, pkt)` call (the
+// same trick Event::set_raw_callback uses) straight into the concrete
+// handler: no vtable, no std::function, no rebinding. A PacketQueue is
+// constructed with the port it drains and sends through it directly; its
+// drain hook is a raw fn/ctx pair for the same reason.
 #pragma once
 
 #include <algorithm>
@@ -31,29 +32,29 @@
 
 namespace accesys::mem {
 
-/// Interface a component implements to own a RequestPort.
-class Requestor {
-  public:
-    virtual ~Requestor() = default;
+/// A port owner's handler pair, as compile-time member-function pointers.
+/// On a RequestPort: `bool Owner::Recv(PacketPtr&)` takes a response and
+/// `void Owner::Retry()` re-sends a request the responder refused. On a
+/// ResponsePort: Recv takes a request, Retry re-sends a refused response.
+/// Recv returns false to backpressure (the peer waits for a retry).
+template <auto Recv, auto Retry>
+struct Handlers {};
 
-    /// A response arrived. Return false to backpressure (peer will retry).
-    virtual bool recv_resp(PacketPtr& pkt) = 0;
+namespace detail {
 
-    /// The responder unblocked; re-send the deferred request now.
-    virtual void retry_req() = 0;
-};
+template <class Owner, auto Recv>
+bool recv_thunk(void* owner, PacketPtr& pkt)
+{
+    return (static_cast<Owner*>(owner)->*Recv)(pkt);
+}
 
-/// Interface a component implements to own a ResponsePort.
-class Responder {
-  public:
-    virtual ~Responder() = default;
+template <class Owner, auto Retry>
+void retry_thunk(void* owner)
+{
+    (static_cast<Owner*>(owner)->*Retry)();
+}
 
-    /// A request arrived. Return false to backpressure (peer will retry).
-    virtual bool recv_req(PacketPtr& pkt) = 0;
-
-    /// The requestor unblocked; re-send the deferred response now.
-    virtual void retry_resp() = 0;
-};
+} // namespace detail
 
 class ResponsePort;
 
@@ -62,26 +63,16 @@ class RequestPort {
     using RecvFn = bool (*)(void*, PacketPtr&);
     using RetryFn = void (*)(void*);
 
-    RequestPort(std::string name, Requestor& owner) : name_(std::move(name))
+    /// Responses go to `owner->*RecvResp`; `owner->*RetryReq` runs when
+    /// the responder unblocks after refusing a request.
+    template <class Owner, auto RecvResp, auto RetryReq>
+    RequestPort(std::string name, Owner* owner,
+                Handlers<RecvResp, RetryReq> /*handlers*/)
+        : name_(std::move(name)),
+          recv_resp_(&detail::recv_thunk<Owner, RecvResp>),
+          retry_req_(&detail::retry_thunk<Owner, RetryReq>),
+          ctx_(owner)
     {
-        // Default binding: one indirect call into the virtual interface.
-        ctx_ = static_cast<void*>(&owner);
-        recv_resp_ = [](void* o, PacketPtr& p) {
-            return static_cast<Requestor*>(o)->recv_resp(p);
-        };
-        retry_req_ = [](void* o) { static_cast<Requestor*>(o)->retry_req(); };
-    }
-
-    /// Devirtualize steady-state delivery: rebind response/retry dispatch
-    /// to raw fn(ctx) pairs calling the owner's concrete handlers. Owners
-    /// call this from their constructors (where private handlers are in
-    /// scope); unbound ports keep the virtual-shim default.
-    void set_fast_path(RecvFn recv_resp, RetryFn retry_req,
-                      void* ctx) noexcept
-    {
-        recv_resp_ = recv_resp;
-        retry_req_ = retry_req;
-        ctx_ = ctx;
     }
 
     void bind(ResponsePort& peer);
@@ -93,7 +84,7 @@ class RequestPort {
     void serialize(Ckpt& ar);
 
     /// Send a request to the bound responder. On `false` the caller keeps
-    /// `pkt` and must wait for retry_req().
+    /// `pkt` and must wait for the owner's retry handler.
     [[nodiscard]] bool send_req(PacketPtr& pkt);
 
     /// Notify the responder that this side can accept responses again.
@@ -114,24 +105,16 @@ class ResponsePort {
     using RecvFn = RequestPort::RecvFn;
     using RetryFn = RequestPort::RetryFn;
 
-    ResponsePort(std::string name, Responder& owner) : name_(std::move(name))
+    /// Requests go to `owner->*RecvReq`; `owner->*RetryResp` runs when
+    /// the requestor unblocks after refusing a response.
+    template <class Owner, auto RecvReq, auto RetryResp>
+    ResponsePort(std::string name, Owner* owner,
+                 Handlers<RecvReq, RetryResp> /*handlers*/)
+        : name_(std::move(name)),
+          recv_req_(&detail::recv_thunk<Owner, RecvReq>),
+          retry_resp_(&detail::retry_thunk<Owner, RetryResp>),
+          ctx_(owner)
     {
-        ctx_ = static_cast<void*>(&owner);
-        recv_req_ = [](void* o, PacketPtr& p) {
-            return static_cast<Responder*>(o)->recv_req(p);
-        };
-        retry_resp_ = [](void* o) {
-            static_cast<Responder*>(o)->retry_resp();
-        };
-    }
-
-    /// See RequestPort::set_fast_path (symmetric: request/retry-resp side).
-    void set_fast_path(RecvFn recv_req, RetryFn retry_resp,
-                      void* ctx) noexcept
-    {
-        recv_req_ = recv_req;
-        retry_resp_ = retry_resp;
-        ctx_ = ctx;
     }
 
     void bind(RequestPort& peer) { peer.bind(*this); }
@@ -143,7 +126,7 @@ class ResponsePort {
     void serialize(Ckpt& ar);
 
     /// Send a response to the bound requestor. On `false` the caller keeps
-    /// `pkt` and must wait for retry_resp().
+    /// `pkt` and must wait for the owner's retry handler.
     [[nodiscard]] bool send_resp(PacketPtr& pkt);
 
     /// Notify the requestor that this side can accept requests again.
@@ -204,25 +187,29 @@ inline void ResponsePort::send_retry_req()
 /// Deferred-egress queue: packets become sendable at a scheduled tick and are
 /// pushed out in order, transparently honouring peer backpressure.
 ///
-/// The queue is transport-agnostic: the owner provides the actual send
-/// functor (usually wrapping RequestPort::send_req or
-/// ResponsePort::send_resp) as a raw fn/ctx pair and arranges for `retry()`
-/// to be called from the matching retry hook.
+/// The queue drains into the port it is constructed with (requests out of
+/// a RequestPort, responses out of a ResponsePort); the port's owner calls
+/// `retry()` from its retry handler. Declare the queue after its port.
 class PacketQueue {
   public:
-    using SendFn = bool (*)(void*, PacketPtr&);
     using HookFn = void (*)(void*);
 
-    PacketQueue(Simulator& sim, std::string name, SendFn send, void* send_ctx)
-        : eq_(&sim.current_queue()),
-          send_(send),
-          send_ctx_(send_ctx),
-          send_event_(name + ".send", nullptr)
+    PacketQueue(Simulator& sim, const std::string& name, RequestPort& port)
+        : PacketQueue(sim, name)
     {
-        send_event_.set_raw_callback(
-            [](void* self) { static_cast<PacketQueue*>(self)->try_send(); },
-            this);
-        fuse_ = eq_->batching_enabled();
+        send_ = [](void* p, PacketPtr& pkt) {
+            return static_cast<RequestPort*>(p)->send_req(pkt);
+        };
+        port_ = &port;
+    }
+
+    PacketQueue(Simulator& sim, const std::string& name, ResponsePort& port)
+        : PacketQueue(sim, name)
+    {
+        send_ = [](void* p, PacketPtr& pkt) {
+            return static_cast<ResponsePort*>(p)->send_resp(pkt);
+        };
+        port_ = &port;
     }
 
     /// Queue `pkt` to be sent no earlier than `ready` (absolute tick).
@@ -244,7 +231,7 @@ class PacketQueue {
             !in_send_ && !send_event_.scheduled() &&
             eq_->tick_quiescent()) {
             in_send_ = true;
-            const bool ok = send_(send_ctx_, pkt);
+            const bool ok = send_(port_, pkt);
             in_send_ = false;
             if (ok) {
                 if (drain_hook_ != nullptr) {
@@ -314,6 +301,15 @@ class PacketQueue {
         Tick ready;
     };
 
+    PacketQueue(Simulator& sim, const std::string& name)
+        : eq_(&sim.current_queue()), send_event_(name + ".send", nullptr)
+    {
+        send_event_.set_raw_callback(
+            [](void* self) { static_cast<PacketQueue*>(self)->try_send(); },
+            this);
+        fuse_ = eq_->batching_enabled();
+    }
+
     void arm()
     {
         // While blocked, progress comes from retry(), not from the event.
@@ -333,7 +329,7 @@ class PacketQueue {
         bool sent_any = false;
         while (!q_.empty() && !blocked_ && q_.front().ready <= eq_->now()) {
             PacketPtr& pkt = q_.front().pkt;
-            if (!send_(send_ctx_, pkt)) {
+            if (!send_(port_, pkt)) {
                 blocked_ = true;
                 break;
             }
@@ -354,8 +350,8 @@ class PacketQueue {
     bool blocked_ = false;
     bool fuse_ = true;    ///< same-tick fusion on (mirrors batch dispatch)
     bool in_send_ = false; ///< re-entrancy guard for the fused hand-off
-    SendFn send_;
-    void* send_ctx_;
+    bool (*send_)(void*, PacketPtr&) = nullptr; ///< send_req or send_resp
+    void* port_ = nullptr;
     HookFn drain_hook_ = nullptr;
     void* drain_ctx_ = nullptr;
     Event send_event_;

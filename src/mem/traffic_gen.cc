@@ -18,15 +18,11 @@ TrafficGen::TrafficGen(Simulator& sim, std::string name,
                        const TrafficGenParams& params)
     : SimObject(sim, std::move(name)),
       params_(params),
-      port_(this->name() + ".port", *this),
+      port_(this->name() + ".port", this,
+            Handlers<&TrafficGen::recv_resp, &TrafficGen::retry_req>{}),
       rng_(params.seed)
 {
     params_.validate();
-    port_.set_fast_path(
-        [](void* s, PacketPtr& pkt) {
-            return static_cast<TrafficGen*>(s)->recv_resp(pkt);
-        },
-        [](void* s) { static_cast<TrafficGen*>(s)->retry_req(); }, this);
 }
 
 void TrafficGen::start(std::function<void()> on_done)

@@ -27,7 +27,7 @@ struct TrafficGenParams {
     void validate() const;
 };
 
-class TrafficGen final : public SimObject, private Requestor {
+class TrafficGen final : public SimObject {
   public:
     TrafficGen(Simulator& sim, std::string name,
                const TrafficGenParams& params);
@@ -54,8 +54,8 @@ class TrafficGen final : public SimObject, private Requestor {
     void serialize(Ckpt& ar) override;
 
   private:
-    bool recv_resp(PacketPtr& pkt) override;
-    void retry_req() override
+    bool recv_resp(PacketPtr& pkt);
+    void retry_req()
     {
         blocked_ = false;
         pump();

@@ -16,32 +16,21 @@ double ps_per_byte(double gbps)
 } // namespace
 
 /// Upstream side: receives requests from a requestor, sends responses back.
-struct Xbar::InSide final : Responder {
+struct Xbar::InSide final {
     InSide(Xbar& xbar, std::uint16_t idx, const std::string& label)
         : xbar_(xbar),
           idx_(idx),
-          rport(xbar.name() + "." + label, *this),
-          resp_q(xbar.sim(), xbar.name() + "." + label + ".resp_q",
-                 [](void* s, PacketPtr& pkt) {
-                     return static_cast<InSide*>(s)->rport.send_resp(pkt);
-                 },
-                 this)
+          rport(xbar.name() + "." + label, this,
+                Handlers<&InSide::recv_req, &InSide::retry_resp>{}),
+          resp_q(xbar.sim(), xbar.name() + "." + label + ".resp_q", rport)
     {
         resp_q.set_drain_hook(
             [](void* s) { static_cast<InSide*>(s)->wake_waiters(); }, this);
-        rport.set_fast_path(
-            [](void* s, PacketPtr& pkt) {
-                return static_cast<InSide*>(s)->recv_req(pkt);
-            },
-            [](void* s) { static_cast<InSide*>(s)->retry_resp(); }, this);
     }
 
-    bool recv_req(PacketPtr& pkt) override
-    {
-        return xbar_.handle_req(idx_, pkt);
-    }
+    bool recv_req(PacketPtr& pkt) { return xbar_.handle_req(idx_, pkt); }
 
-    void retry_resp() override { resp_q.retry(); }
+    void retry_resp() { resp_q.retry(); }
 
     void wake_waiters(); // defined after OutSide (calls into it)
 
@@ -54,35 +43,24 @@ struct Xbar::InSide final : Responder {
 };
 
 /// Downstream side: sends requests to a responder, receives responses.
-struct Xbar::OutSide final : Requestor {
+struct Xbar::OutSide final {
     OutSide(Xbar& xbar, std::uint16_t idx, const std::string& label,
             AddrRange r, bool is_default)
         : xbar_(xbar),
           idx_(idx),
           range(r),
           deflt(is_default),
-          qport(xbar.name() + "." + label, *this),
-          req_q(xbar.sim(), xbar.name() + "." + label + ".req_q",
-                [](void* s, PacketPtr& pkt) {
-                    return static_cast<OutSide*>(s)->qport.send_req(pkt);
-                },
-                this)
+          qport(xbar.name() + "." + label, this,
+                Handlers<&OutSide::recv_resp, &OutSide::retry_req>{}),
+          req_q(xbar.sim(), xbar.name() + "." + label + ".req_q", qport)
     {
         req_q.set_drain_hook(
             [](void* s) { static_cast<OutSide*>(s)->wake_waiters(); }, this);
-        qport.set_fast_path(
-            [](void* s, PacketPtr& pkt) {
-                return static_cast<OutSide*>(s)->recv_resp(pkt);
-            },
-            [](void* s) { static_cast<OutSide*>(s)->retry_req(); }, this);
     }
 
-    bool recv_resp(PacketPtr& pkt) override
-    {
-        return xbar_.handle_resp(idx_, pkt);
-    }
+    bool recv_resp(PacketPtr& pkt) { return xbar_.handle_resp(idx_, pkt); }
 
-    void retry_req() override { req_q.retry(); }
+    void retry_req() { req_q.retry(); }
 
     void grant_resp_retry() { qport.send_retry_resp(); }
 

@@ -21,20 +21,14 @@ RootComplex::RootComplex(Simulator& sim, std::string name,
                          const RcParams& params)
     : SimObject(sim, std::move(name)),
       params_(params),
-      mem_port_(this->name() + ".mem_side", *this),
-      mmio_port_(this->name() + ".mmio_side", *this),
-      mem_q_(sim, this->name() + ".mem_q",
-             [](void* s, mem::PacketPtr& pkt) {
-                 return static_cast<RootComplex*>(s)->mem_port_.send_req(
-                     pkt);
-             },
-             this),
-      mmio_resp_q_(sim, this->name() + ".mmio_resp_q",
-                   [](void* s, mem::PacketPtr& pkt) {
-                       return static_cast<RootComplex*>(s)
-                           ->mmio_port_.send_resp(pkt);
-                   },
-                   this),
+      mem_port_(this->name() + ".mem_side", this,
+                mem::Handlers<&RootComplex::recv_resp,
+                              &RootComplex::retry_req>{}),
+      mmio_port_(this->name() + ".mmio_side", this,
+                 mem::Handlers<&RootComplex::recv_req,
+                               &RootComplex::retry_resp>{}),
+      mem_q_(sim, this->name() + ".mem_q", mem_port_),
+      mmio_resp_q_(sim, this->name() + ".mmio_resp_q", mmio_port_),
       inbound_reads_(params.max_inbound_reads),
       slot_free_bits_((params.max_inbound_reads + 63) / 64, 0),
       mmio_pending_(params.mmio_tags),
@@ -79,16 +73,6 @@ RootComplex::RootComplex(Simulator& sim, std::string name,
             }
         },
         this);
-    mem_port_.set_fast_path(
-        [](void* s, mem::PacketPtr& pkt) {
-            return static_cast<RootComplex*>(s)->recv_resp(pkt);
-        },
-        [](void* s) { static_cast<RootComplex*>(s)->retry_req(); }, this);
-    mmio_port_.set_fast_path(
-        [](void* s, mem::PacketPtr& pkt) {
-            return static_cast<RootComplex*>(s)->recv_req(pkt);
-        },
-        [](void* s) { static_cast<RootComplex*>(s)->retry_resp(); }, this);
 }
 
 void RootComplex::connect_pcie(PciePort& port)
@@ -431,9 +415,12 @@ void RootComplex::serialize(Ckpt& ar)
         }
     }
 
-    // Inbound read slots: POD, fixed pool.
+    // Inbound read slots: fixed pool.
     const std::size_t n_slots = inbound_reads_.size();
-    ar.pod_vec(inbound_reads_);
+    ar.vec(inbound_reads_, [&ar](InboundRead& r) {
+        ar.io(r.key, r.live, r.addr, r.size, r.tag, r.requester, r.chunks,
+              r.chunk_done, r.emitted, r.done_prefix, r.poisoned);
+    });
     ensure(inbound_reads_.size() == n_slots, name(),
            ": inbound slot count changed across checkpoint");
     ar.pod_vec(slot_of_key_);

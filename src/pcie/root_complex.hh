@@ -56,9 +56,7 @@ struct RcParams {
 };
 
 class RootComplex final : public SimObject,
-                          public PcieNode,
-                          private mem::Requestor,
-                          private mem::Responder {
+                          public PcieNode {
   public:
     RootComplex(Simulator& sim, std::string name, const RcParams& params);
 
@@ -84,13 +82,13 @@ class RootComplex final : public SimObject,
     void report_occupancy(std::string& out) const override;
 
   private:
-    // mem::Requestor (mem_side)
-    bool recv_resp(mem::PacketPtr& pkt) override;
-    void retry_req() override { mem_q_.retry(); }
+    // mem_port_ handlers
+    bool recv_resp(mem::PacketPtr& pkt);
+    void retry_req() { mem_q_.retry(); }
 
-    // mem::Responder (mmio_side)
-    bool recv_req(mem::PacketPtr& pkt) override;
-    void retry_resp() override { mmio_resp_q_.retry(); }
+    // mmio_port_ handlers
+    bool recv_req(mem::PacketPtr& pkt);
+    void retry_resp() { mmio_resp_q_.retry(); }
 
     /// One in-service inbound MRd. Lives in a fixed slot pool
     /// (max_inbound_reads entries) with a fixed chunk bitmap, so servicing

@@ -40,7 +40,7 @@ void Tlp::serialize(Ckpt& ar)
 {
     ar.io(type, addr, length, tag, requester, byte_offset, is_last, dl_seq,
           dl_corrupt, poisoned, data_size_);
-    ar.raw(data_.data(), data_.size());
+    ar.raw(data_.data(), data_size_);
 }
 
 void TlpPool::serialize_counters(Ckpt& ar)

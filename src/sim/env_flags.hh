@@ -8,12 +8,13 @@
 // a knob flipped mid-process has no effect — which is also the only
 // thread-safe semantics available.
 //
-// Knobs:
+// Knobs (boolean ones: unset or empty = default, `0` = off, anything
+// else = on, so `ACCESYS_NO_BATCH=0` keeps batching):
 //   ACCESYS_NO_BATCH=1       disable same-tick batched dispatch
 //   ACCESYS_NO_HOP_FUSION=1  disable the event-queue express lane
 //   ACCESYS_EAGER_CREDITS=1  per-return PCIe credit events (lazy default)
+//   ACCESYS_FAULTS=0         ignore any configured FaultPlan (default on)
 //   ACCESYS_THREADS=N        simulation worker threads (default 1 = serial)
-//   ACCESYS_FAULTS=0         ignore any configured FaultPlan (escape hatch)
 #pragma once
 
 namespace accesys {
@@ -28,6 +29,9 @@ struct EnvFlags {
     /// The process-wide snapshot (taken on first use, immutable after —
     /// except via set_for_test).
     [[nodiscard]] static const EnvFlags& get();
+
+    /// Parse the environment now (what the snapshot is taken from).
+    [[nodiscard]] static EnvFlags read();
 
     /// TEST ONLY: replace the process snapshot. Components capture flag
     /// values at construction, so call this only while no Simulator (or

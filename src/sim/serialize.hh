@@ -52,7 +52,10 @@ inline constexpr std::uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
 class Ckpt {
   public:
     // v2: poison bit on Tlp/Packet/InboundRead + endpoint/SMMU fault state.
-    static constexpr std::uint32_t kFormatVersion = 2;
+    // v3: padded structs field by field, only the live prefix of TLP/packet
+    //     inline buffers, no SimpleMem in-flight counter (files are
+    //     byte-reproducible).
+    static constexpr std::uint32_t kFormatVersion = 3;
     static constexpr char kMagic[8] = {'A', 'C', 'S', 'Y',
                                        'S', 'C', 'K', 'P'};
 
@@ -112,6 +115,7 @@ class Ckpt {
     {
         static_assert(std::is_trivially_copyable_v<T>,
                       "Ckpt::pod needs a trivially copyable type");
+        static_assert(kNoPadding<T>, "padded type: serialize field by field");
         raw(&v, sizeof(T));
     }
 
@@ -136,12 +140,28 @@ class Ckpt {
     void pod_vec(std::vector<T>& v)
     {
         static_assert(std::is_trivially_copyable_v<T>);
+        static_assert(kNoPadding<T>, "padded type: use vec() instead");
         std::uint64_t n = v.size();
         pod(n);
         if (loading()) {
             v.resize(n);
         }
         raw(v.data(), n * sizeof(T));
+    }
+
+    /// A vector of structs with padding: the count, then `each(element)`
+    /// serializes every element field by field.
+    template <typename T, typename F>
+    void vec(std::vector<T>& v, F each)
+    {
+        std::uint64_t n = v.size();
+        pod(n);
+        if (loading()) {
+            v.resize(n);
+        }
+        for (T& e : v) {
+            each(e);
+        }
     }
 
     // --- file I/O -----------------------------------------------------------
@@ -178,6 +198,13 @@ class Ckpt {
     }
 
   private:
+    /// Every byte of a T is value bits, so a raw copy cannot write
+    /// uninitialized padding into the file (which would make two saves of
+    /// the same state differ).
+    template <typename T>
+    static constexpr bool kNoPadding =
+        std::is_scalar_v<T> || std::has_unique_object_representations_v<T>;
+
     explicit Ckpt(Mode m) : mode_(m) {}
     static Ckpt parse(const std::string& path);
 

@@ -10,7 +10,7 @@ void Tlb::serialize(Ckpt& ar)
 {
     const std::size_t n_slots = slots_.size();
     ar.io(clock_, lookups_, hits_, misses_, evictions_);
-    ar.pod_vec(slots_);
+    ar.vec(slots_, [&ar](Slot& s) { ar.io(s.vpn, s.ppn, s.lru, s.valid); });
     ensure(slots_.size() == n_slots,
            "TLB geometry changed across checkpoint");
     if (ar.loading()) {
@@ -32,18 +32,12 @@ Smmu::Smmu(Simulator& sim, std::string name, const SmmuParams& params,
       params_(params),
       table_(&table),
       store_(&store),
-      dev_port_(this->name() + ".dev_side", *this),
-      mem_port_(this->name() + ".mem_side", *this),
-      dev_resp_q_(sim, this->name() + ".dev_resp_q",
-                  [](void* s, mem::PacketPtr& pkt) {
-                      return static_cast<Smmu*>(s)->dev_port_.send_resp(pkt);
-                  },
-                  this),
-      mem_q_(sim, this->name() + ".mem_q",
-             [](void* s, mem::PacketPtr& pkt) {
-                 return static_cast<Smmu*>(s)->mem_port_.send_req(pkt);
-             },
-             this),
+      dev_port_(this->name() + ".dev_side", this,
+                mem::Handlers<&Smmu::recv_req, &Smmu::retry_resp>{}),
+      mem_port_(this->name() + ".mem_side", this,
+                mem::Handlers<&Smmu::recv_resp, &Smmu::retry_req>{}),
+      dev_resp_q_(sim, this->name() + ".dev_resp_q", dev_port_),
+      mem_q_(sim, this->name() + ".mem_q", mem_port_),
       tlb_(params.tlb_entries, params.tlb_assoc),
       walks_(params.walk_slots),
       walker_requestor_(mem::alloc_requestor_id())
@@ -60,16 +54,6 @@ Smmu::Smmu(Simulator& sim, std::string name, const SmmuParams& params,
     }
     pending_free_ = 0;
     walk_records_.reserve(params_.max_pending);
-    dev_port_.set_fast_path(
-        [](void* s, mem::PacketPtr& pkt) {
-            return static_cast<Smmu*>(s)->recv_req(pkt);
-        },
-        [](void* s) { static_cast<Smmu*>(s)->retry_resp(); }, this);
-    mem_port_.set_fast_path(
-        [](void* s, mem::PacketPtr& pkt) {
-            return static_cast<Smmu*>(s)->recv_resp(pkt);
-        },
-        [](void* s) { static_cast<Smmu*>(s)->retry_req(); }, this);
     utlb_hit_ticks_ = ticks_from_ns(params_.utlb_hit_latency_ns);
     tlb_hit_ticks_ = ticks_from_ns(params_.tlb_hit_latency_ns);
     (void)stream_ctx(0); // default stream exists from the start
@@ -586,7 +570,9 @@ void Smmu::serialize(Ckpt& ar)
                 sf.rng.serialize(ar);
             }
         }
-        ar.pod_vec(fault_->records);
+        ar.vec(fault_->records, [&ar](FaultRecord& r) {
+            ar.io(r.tick, r.stream, r.va, r.is_write);
+        });
     }
 }
 

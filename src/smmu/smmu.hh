@@ -54,9 +54,7 @@ struct SmmuParams {
     void validate() const;
 };
 
-class Smmu final : public SimObject,
-                   private mem::Responder,
-                   private mem::Requestor {
+class Smmu final : public SimObject {
   public:
     Smmu(Simulator& sim, std::string name, const SmmuParams& params,
          PageTable& table, mem::BackingStore& store);
@@ -171,13 +169,13 @@ class Smmu final : public SimObject,
     void report_occupancy(std::string& out) const override;
 
   private:
-    // mem::Responder (dev side)
-    bool recv_req(mem::PacketPtr& pkt) override;
-    void retry_resp() override { dev_resp_q_.retry(); }
+    // dev_port_ handlers
+    bool recv_req(mem::PacketPtr& pkt);
+    void retry_resp() { dev_resp_q_.retry(); }
 
-    // mem::Requestor (mem side)
-    bool recv_resp(mem::PacketPtr& pkt) override;
-    void retry_req() override { mem_q_.retry(); }
+    // mem_port_ handlers
+    bool recv_resp(mem::PacketPtr& pkt);
+    void retry_req() { mem_q_.retry(); }
 
     /// One request waiting on a page-table walk. Nodes live in a
     /// fixed-size pool (`pending_pool_`, max_pending slots, allocated once)

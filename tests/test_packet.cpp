@@ -44,7 +44,7 @@ TEST(Packet, RouteStackLifo)
     EXPECT_EQ(p->route_depth(), 2u);
     EXPECT_EQ(p->pop_route(), 7);
     EXPECT_EQ(p->pop_route(), 3);
-    EXPECT_THROW(p->pop_route(), SimError);
+    EXPECT_THROW((void)p->pop_route(), SimError);
 }
 
 TEST(Packet, TranslationRecordsOriginal)

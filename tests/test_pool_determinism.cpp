@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 
@@ -653,6 +654,45 @@ TEST(PoolDeterminism, SteadyStateForwardingAllocatesNothing)
     (void)run_gemm_sim(1, 48, /*threads=*/1);
     EXPECT_EQ(mem::PacketPool::lifetime_allocs(), pkt_allocs);
     EXPECT_EQ(pcie::TlpPool::lifetime_allocs(), tlp_allocs);
+}
+
+TEST(EnvFlags, BooleanKnobsParseByValue)
+{
+    // One rule for every boolean knob: unset or empty keeps the default,
+    // "0" turns it off, any other value turns it on — so `=0` can never
+    // switch an escape hatch on.
+    struct Knob {
+        const char* name;
+        bool EnvFlags::*flag;
+        bool dflt;
+    };
+    const Knob knobs[] = {
+        {"ACCESYS_NO_BATCH", &EnvFlags::no_batch, false},
+        {"ACCESYS_NO_HOP_FUSION", &EnvFlags::no_hop_fusion, false},
+        {"ACCESYS_EAGER_CREDITS", &EnvFlags::eager_credits, false},
+        {"ACCESYS_FAULTS", &EnvFlags::faults, true},
+    };
+    for (const Knob& k : knobs) {
+        const char* prev = std::getenv(k.name);
+        const std::string saved = prev != nullptr ? prev : "";
+
+        ::unsetenv(k.name);
+        EXPECT_EQ(EnvFlags::read().*k.flag, k.dflt) << k.name << " unset";
+        ::setenv(k.name, "", 1);
+        EXPECT_EQ(EnvFlags::read().*k.flag, k.dflt) << k.name << "=";
+        ::setenv(k.name, "0", 1);
+        EXPECT_FALSE(EnvFlags::read().*k.flag) << k.name << "=0";
+        ::setenv(k.name, "1", 1);
+        EXPECT_TRUE(EnvFlags::read().*k.flag) << k.name << "=1";
+        ::setenv(k.name, "yes", 1);
+        EXPECT_TRUE(EnvFlags::read().*k.flag) << k.name << "=yes";
+
+        if (prev != nullptr) {
+            ::setenv(k.name, saved.c_str(), 1);
+        } else {
+            ::unsetenv(k.name);
+        }
+    }
 }
 
 } // namespace

@@ -103,12 +103,7 @@ struct QueueFixture : ::testing::Test {
 
 TEST_F(QueueFixture, DeliversInOrderAtScheduledTicks)
 {
-    PacketQueue q(
-        sim, "q",
-        [](void* s, PacketPtr& pkt) {
-            return static_cast<QueueFixture*>(s)->req.port().send_req(pkt);
-        },
-        static_cast<QueueFixture*>(this));
+    PacketQueue q(sim, "q", req.port());
     q.push(Packet::make_read(0x100, 4), 100);
     q.push(Packet::make_read(0x200, 4), 50); // later push, earlier ready: FIFO still
     sim.run();
@@ -121,12 +116,7 @@ TEST_F(QueueFixture, DeliversInOrderAtScheduledTicks)
 
 TEST_F(QueueFixture, HonoursBackpressureAndRetry)
 {
-    PacketQueue q(
-        sim, "q",
-        [](void* s, PacketPtr& pkt) {
-            return static_cast<QueueFixture*>(s)->req.port().send_req(pkt);
-        },
-        static_cast<QueueFixture*>(this));
+    PacketQueue q(sim, "q", req.port());
     resp.refuse_requests(1);
     q.push_now(Packet::make_read(0x1, 4));
     q.push_now(Packet::make_read(0x2, 4));
@@ -144,12 +134,7 @@ TEST_F(QueueFixture, HonoursBackpressureAndRetry)
 
 TEST_F(QueueFixture, DrainHookFiresAfterSends)
 {
-    PacketQueue q(
-        sim, "q",
-        [](void* s, PacketPtr& pkt) {
-            return static_cast<QueueFixture*>(s)->req.port().send_req(pkt);
-        },
-        static_cast<QueueFixture*>(this));
+    PacketQueue q(sim, "q", req.port());
     int drains = 0;
     q.set_drain_hook([](void* d) { ++*static_cast<int*>(d); }, &drains);
     q.push_now(Packet::make_read(0x1, 4));
@@ -164,12 +149,7 @@ TEST_F(QueueFixture, BlockedQueueDoesNotSpin)
     // Regression: a blocked queue must not re-arm its own send event at the
     // current tick (that was an infinite same-tick event loop). With the
     // responder refusing forever, the simulation must simply drain.
-    PacketQueue q(
-        sim, "q",
-        [](void* s, PacketPtr& pkt) {
-            return static_cast<QueueFixture*>(s)->req.port().send_req(pkt);
-        },
-        static_cast<QueueFixture*>(this));
+    PacketQueue q(sim, "q", req.port());
     resp.refuse_requests(1000);
     q.push_now(Packet::make_read(0x1, 4));
     const auto rr = sim.run(kTicksPerMs);
@@ -180,12 +160,7 @@ TEST_F(QueueFixture, BlockedQueueDoesNotSpin)
 
 TEST_F(QueueFixture, HeadReadyReportsSchedule)
 {
-    PacketQueue q(
-        sim, "q",
-        [](void* s, PacketPtr& pkt) {
-            return static_cast<QueueFixture*>(s)->req.port().send_req(pkt);
-        },
-        static_cast<QueueFixture*>(this));
+    PacketQueue q(sim, "q", req.port());
     EXPECT_EQ(q.head_ready(), kMaxTick);
     q.push(Packet::make_read(0x1, 4), 777);
     EXPECT_EQ(q.head_ready(), 777u);

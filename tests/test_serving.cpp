@@ -15,11 +15,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/runner.hh"
+#include "sim/serialize.hh"
 #include "workload/request_gen.hh"
 
 namespace accesys::core {
@@ -365,6 +369,26 @@ TEST(Serving, PoissonOverloadBitIdenticalAcrossThreads)
     }
 }
 
+/// Run the Poisson overload serially and checkpoint it at tick `mid`.
+void save_mid_overload(const std::string& path, Tick mid)
+{
+    auto cfg = SystemConfig::paper_default();
+    cfg.set_num_devices(4);
+    cfg.threads = 1;
+    System sys(cfg);
+    RequestGen gen(sys.sim(), poisson_overload_config());
+    ServingConfig scfg;
+    scfg.policy = ShedPolicy::shed_oldest;
+    scfg.queue_capacity = 8;
+    Runner runner(sys);
+    sys.sim().request_checkpoint_at(path, mid);
+    const ServingResult res = runner.serve(gen, scfg);
+    ASSERT_TRUE(res.checkpointed)
+        << "serve finished at " << res.end
+        << " before the checkpoint tick " << mid;
+    EXPECT_GT(res.offered, 0u) << "overload must be underway at save";
+}
+
 TEST(Serving, MidOverloadCheckpointRoundTripsBitIdentical)
 {
     // Checkpoint in the middle of an overloaded serve — a full admission
@@ -379,23 +403,7 @@ TEST(Serving, MidOverloadCheckpointRoundTripsBitIdentical)
     ASSERT_GT(mid, 0u);
 
     const std::string path = ::testing::TempDir() + "serving_mid.ckpt";
-    {
-        auto cfg = SystemConfig::paper_default();
-        cfg.set_num_devices(4);
-        cfg.threads = 1;
-        System sys(cfg);
-        RequestGen gen(sys.sim(), poisson_overload_config());
-        ServingConfig scfg;
-        scfg.policy = ShedPolicy::shed_oldest;
-        scfg.queue_capacity = 8;
-        Runner runner(sys);
-        sys.sim().request_checkpoint_at(path, mid);
-        const ServingResult res = runner.serve(gen, scfg);
-        ASSERT_TRUE(res.checkpointed)
-            << "serve finished at " << res.end
-            << " before the checkpoint tick " << mid;
-        EXPECT_GT(res.offered, 0u) << "overload must be underway at save";
-    }
+    ASSERT_NO_FATAL_FAILURE(save_mid_overload(path, mid));
 
     for (const unsigned threads : {1U, 2U}) {
         auto cfg = SystemConfig::paper_default();
@@ -422,6 +430,53 @@ TEST(Serving, MidOverloadCheckpointRoundTripsBitIdentical)
             << "threads=" << threads;
     }
     std::remove(path.c_str());
+}
+
+TEST(Serving, CheckpointFileIsByteReproducible)
+{
+    // Saving the same mid-overload state twice in one process must give
+    // the same bytes in every section, even when the heap the second
+    // System is built from holds different garbage: nothing uninitialized
+    // (struct padding, stale buffer tails) may reach the file. `pools`
+    // holds the global pools' process-lifetime counters, which legitimately
+    // grow between the two saves.
+    const Tick mid = run_poisson_overload(1).end_tick / 2;
+    ASSERT_GT(mid, 0u);
+    const std::string first = ::testing::TempDir() + "serving_repro_a.ckpt";
+    const std::string second = ::testing::TempDir() + "serving_repro_b.ckpt";
+    ASSERT_NO_FATAL_FAILURE(save_mid_overload(first, mid));
+    {
+        // Scribble non-zero bytes through freed heap blocks of many sizes.
+        std::vector<std::unique_ptr<std::uint8_t[]>> blocks;
+        for (std::size_t n = 8; n <= (1U << 20); n = n * 3 / 2 + 8) {
+            for (int rep = 0; rep < 16; ++rep) {
+                blocks.emplace_back(new std::uint8_t[n]);
+                std::memset(blocks.back().get(), 0xA5 + rep, n);
+            }
+        }
+    }
+    ASSERT_NO_FATAL_FAILURE(save_mid_overload(second, mid));
+
+    const Ckpt a = Ckpt::load_file_unchecked(first);
+    const Ckpt b = Ckpt::load_file_unchecked(second);
+    ASSERT_EQ(a.sections().size(), b.sections().size());
+    for (std::size_t i = 0; i < a.sections().size(); ++i) {
+        const auto& sa = a.sections()[i];
+        const auto& sb = b.sections()[i];
+        ASSERT_EQ(sa.name, sb.name);
+        if (sa.name == "pools") {
+            continue;
+        }
+        ASSERT_EQ(sa.size, sb.size) << "section " << sa.name;
+        std::size_t differing = 0;
+        for (std::size_t j = 0; j < sa.size; ++j) {
+            differing += a.section_data(i)[j] != b.section_data(i)[j];
+        }
+        EXPECT_EQ(differing, 0u) << "section " << sa.name << " has "
+                                 << differing << " differing bytes";
+    }
+    std::remove(first.c_str());
+    std::remove(second.c_str());
 }
 
 TEST(Serving, TraceParsingSkipsCommentsAndValidates)

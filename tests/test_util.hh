@@ -14,16 +14,18 @@ namespace accesys::test {
 
 /// A requestor that records every response and can optionally refuse the
 /// first N responses (to exercise the retry protocol).
-class MockRequestor : public mem::Requestor {
+class MockRequestor {
   public:
     explicit MockRequestor(std::string name)
-        : port_(name, *this)
+        : port_(std::move(name), this,
+                mem::Handlers<&MockRequestor::recv_resp,
+                              &MockRequestor::retry_req>{})
     {
     }
 
     mem::RequestPort& port() { return port_; }
 
-    bool recv_resp(mem::PacketPtr& pkt) override
+    bool recv_resp(mem::PacketPtr& pkt)
     {
         if (refuse_next_ > 0) {
             --refuse_next_;
@@ -34,7 +36,7 @@ class MockRequestor : public mem::Requestor {
         return true;
     }
 
-    void retry_req() override { ++req_retries; }
+    void retry_req() { ++req_retries; }
 
     void refuse_responses(unsigned n) { refuse_next_ = n; }
 
@@ -49,13 +51,18 @@ class MockRequestor : public mem::Requestor {
 
 /// A responder that queues requests and answers on demand; can refuse the
 /// first N requests.
-class MockResponder : public mem::Responder {
+class MockResponder {
   public:
-    explicit MockResponder(std::string name) : port_(name, *this) {}
+    explicit MockResponder(std::string name)
+        : port_(std::move(name), this,
+                mem::Handlers<&MockResponder::recv_req,
+                              &MockResponder::retry_resp>{})
+    {
+    }
 
     mem::ResponsePort& port() { return port_; }
 
-    bool recv_req(mem::PacketPtr& pkt) override
+    bool recv_req(mem::PacketPtr& pkt)
     {
         if (refuse_next_ > 0) {
             --refuse_next_;
@@ -66,7 +73,7 @@ class MockResponder : public mem::Responder {
         return true;
     }
 
-    void retry_resp() override { ++resp_retries; }
+    void retry_resp() { ++resp_retries; }
 
     /// Convert the oldest pending request into a response and send it.
     bool answer_one()
