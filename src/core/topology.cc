@@ -218,9 +218,12 @@ Topology TopologyBuilder::build(Simulator& sim, mem::BackingStore& store,
     // and allocate from the domain's packet/TLP pools, the downstream
     // link becomes the domain boundary (staged handoffs flushed at every
     // barrier, in device order), and dev->host DMA data stages in the
-    // domain's write journal. The barrier quantum is the minimum
-    // propagation delay over all boundary links — the conservative
-    // lookahead that makes free-running windows safe.
+    // domain's write journal. The quantum Q is the minimum propagation
+    // delay over all boundary links — the conservative lookahead from
+    // which Simulator::run_parallel sizes its windows. Every boundary link
+    // joins the root to exactly one endpoint domain; that star shape is
+    // what lets the endpoints run up to 2Q ahead of their own earliest
+    // event while the root is idle.
     const bool carve = sim.threads() > 1;
     Tick min_prop = kMaxTick;
     for (std::size_t i = 0; i < plan.devices.size(); ++i) {
@@ -302,7 +305,9 @@ Topology TopologyBuilder::build(Simulator& sim, mem::BackingStore& store,
             Simulator* sp = &sim;
             pcie::PcieLink* lk = inst.link.get();
             sim.register_barrier_hook(
-                [sp, lk] { sp->note_handoffs(lk->flush_boundary()); });
+                [sp, lk](Tick reached) {
+                    sp->note_handoffs(lk->flush_boundary(reached));
+                });
         }
         topo.devices.push_back(std::move(inst));
     }

@@ -406,6 +406,10 @@ void DmaEngine::serialize_jobs(Ckpt& ar)
 void DmaEngine::serialize(Ckpt& ar)
 {
     ensure(!pumping_, name(), ": checkpoint mid-pump");
+    // Journals are applied up to the checkpoint barrier's tick, which every
+    // record lies below, so they are not part of the format.
+    ensure(journal_ == nullptr || journal_->empty(), name(),
+           ": checkpoint with unapplied write-journal records");
     ar.io(window_in_use_, tags_in_use_);
     ar.pod_vec(tag_free_bits_);
     for (TagState& ts : tags_) {

@@ -107,9 +107,11 @@ void MemCtrl::schedule_issue()
 void MemCtrl::service_dram(Addr addr, std::uint32_t size, bool is_write,
                            Tick& completion)
 {
+    // Round by division: exotic channel widths (e.g. 24-bit) give
+    // non-power-of-two bursts.
     const std::uint32_t atom = dram_.params().burst_bytes();
-    const Addr first = align_down(addr, atom);
-    const Addr last = align_up(addr + size, atom);
+    const Addr first = addr / atom * atom;
+    const Addr last = div_ceil(addr + size, atom) * atom;
     const Tick start = std::max(now(), issue_free_);
     // One row-streaming walk over all consecutive bursts (bit-equivalent
     // to the per-burst access() loop this replaces).

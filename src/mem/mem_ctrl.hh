@@ -44,6 +44,11 @@ class MemCtrl final : public SimObject {
 
     /// Row-hit fraction over all bursts so far (test/diagnostic hook).
     [[nodiscard]] double row_hit_rate() const;
+    /// DRAM bursts issued so far (test/diagnostic hook).
+    [[nodiscard]] std::uint64_t bursts() const noexcept
+    {
+        return dram_.bursts();
+    }
 
     /// Checkpoint/restore queues, pacing horizons and DRAM bank state.
     void serialize(Ckpt& ar) override;

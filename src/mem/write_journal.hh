@@ -4,23 +4,28 @@
 // mid-window: the root thread (host CPU poll loops, stat probes) may be
 // reading the same bytes. Instead the domain snapshots the source bytes at
 // the moment the write logically happens and appends a journal record; the
-// root thread applies records in tick order while the domain is quiesced —
-// fully at window barriers, or as a prefix (tick <= t) at mid-window read
-// fences (Simulator::sync_functional_reads). Applying a prefix preserves
-// the serial run's read-after-write values exactly: a serial poll at tick
-// t observes precisely the dev->host copies submitted at ticks <= t.
+// root thread applies records in tick order while the domain is quiesced,
+// always as a prefix (tick <= t): at window barriers up to the tick the
+// root domain has reached, at mid-window read fences
+// (Simulator::sync_functional_reads) up to the read tick. An endpoint
+// domain's window may end past the root's, so records can outlive a
+// barrier; applying them early would let a host poll see a completion flag
+// before its tick. Applying a prefix preserves the serial run's
+// read-after-write values exactly: a serial poll at tick t observes
+// precisely the dev->host copies submitted at ticks <= t.
 //
 // Thread contract: record() runs on the owning domain's thread; drain
 // calls run on the root thread only while the domain is quiesced (the
-// done_clock acquire at the barrier/fence is the happens-before edge).
-// The two are never concurrent, so the journal itself needs no locks.
+// done_gen acquire at the barrier/fence is the happens-before edge). The
+// two are never concurrent, so the journal itself needs no locks.
 //
-// Records and snapshot bytes live in flat vectors compacted only when the
-// journal drains completely (every barrier does, since a window's records
-// all carry ticks below the window end), so the steady state reuses
-// capacity and allocates nothing.
+// Records and snapshot bytes live in flat vectors. The applied prefix is
+// compacted away once it is at least half of the records (so each record
+// moves at most once on average), and a full drain recycles the vectors in
+// place, so the steady state reuses capacity and allocates nothing.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -66,10 +71,22 @@ class WriteJournal {
             recs_.clear();
             bytes_.clear();
             next_ = 0;
+        } else if (next_ * 2 >= recs_.size()) {
+            // Drop the applied prefix and rebase the survivors' offsets.
+            const std::uint64_t base = recs_[next_].off;
+            bytes_.erase(bytes_.begin(),
+                         bytes_.begin() + static_cast<std::ptrdiff_t>(base));
+            recs_.erase(recs_.begin(),
+                        recs_.begin() + static_cast<std::ptrdiff_t>(next_));
+            for (Rec& r : recs_) {
+                r.off -= base;
+            }
+            next_ = 0;
         }
     }
 
-    [[nodiscard]] bool empty() const noexcept { return recs_.empty(); }
+    /// True when no staged record is waiting to be applied.
+    [[nodiscard]] bool empty() const noexcept { return next_ == recs_.size(); }
     /// Records staged over the journal's lifetime (drained or not).
     [[nodiscard]] std::uint64_t recorded_total() const noexcept
     {

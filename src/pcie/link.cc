@@ -207,7 +207,7 @@ void PcieLink::set_boundary(EventQueue& a_queue, TlpPool& a_pool,
     dirs_[1].rx_pool = &a_pool;
 }
 
-std::uint64_t PcieLink::flush_boundary()
+std::uint64_t PcieLink::flush_boundary(Tick reached)
 {
     std::uint64_t moved = 0;
     if (fault_ != nullptr) {
@@ -217,7 +217,11 @@ std::uint64_t PcieLink::flush_boundary()
             // DLL records cross the domain boundary exactly like credit
             // returns: arrival order preserved, the kick armed as the
             // serial model would — always for NAKs, for ACKs only when
-            // the transmitter is replay-starved.
+            // the transmitter is replay-starved. A stale front record
+            // (arrival already past) kicks at the barrier tick: the
+            // transmitter's own clock can lag it (the root's stops at its
+            // last event), and a replay sent from there could land below
+            // the peer domain's clock.
             bool want_kick = false;
             while (!f.staged_dll.empty()) {
                 const DllRecord rec = f.staged_dll.take_front();
@@ -230,8 +234,8 @@ std::uint64_t PcieLink::flush_boundary()
             if ((want_kick || (f.replay_starved && !f.dll.empty())) &&
                 !f.dll_event.scheduled()) {
                 d.tx_q->schedule_express(
-                    f.dll_event,
-                    std::max(d.tx_q->now(), f.dll.front().arrival));
+                    f.dll_event, std::max({d.tx_q->now(), reached,
+                                           f.dll.front().arrival}));
             }
             // Fold the fault-stat shadows (exact integer-valued doubles,
             // except recovery_ns which is a plain sum either way).

@@ -212,8 +212,10 @@ class PcieLink final : public SimObject {
 
     /// Inject staged cross-domain traffic; root thread only, every domain
     /// quiesced (run from a Simulator barrier hook, in registration
-    /// order). Returns the number of TLP handoffs injected.
-    std::uint64_t flush_boundary();
+    /// order). `reached` is the barrier tick: every domain has run through
+    /// it, so a DLL kick for a stale record is armed no earlier. Returns
+    /// the number of TLP handoffs injected.
+    std::uint64_t flush_boundary(Tick reached);
 
     /// Arms the per-direction retrain events for scheduled link-down
     /// windows (fault model only; boundary wiring is final by startup).

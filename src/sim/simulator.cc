@@ -11,6 +11,16 @@
 
 namespace accesys {
 
+namespace {
+
+/// `t + d`, saturating at kMaxTick (an empty queue's next tick).
+Tick sat_add(Tick t, Tick d)
+{
+    return t > kMaxTick - d ? kMaxTick : t + d;
+}
+
+} // namespace
+
 FaultInjector* Simulator::fault_injector() const noexcept
 {
     return fault_injector_ != nullptr && fault_injector_->enabled()
@@ -142,6 +152,10 @@ void Simulator::sync_functional_reads(Tick t)
     // once this returns no domain appends to its journal until the root
     // thread releases the next window — the drains below run race-free.
     await_domains(window_gen_.load(std::memory_order_relaxed));
+    // The root never runs past the endpoint domains, so every record with
+    // tick <= t has been staged by now.
+    ensure(t < window_end_, "read fence at tick ", t,
+           " past the endpoint window end ", window_end_);
     ++stat_fences_;
     for (auto& d : domains_) {
         if (d->drain_functional) {
@@ -233,30 +247,21 @@ RunResult Simulator::run_parallel(Tick max_tick)
     RunResult res;
     std::uint64_t executed = 0;
 
-    // The window grid is absolute (anchored at tick 0) so window
-    // boundaries — and therefore handoff batching — are identical for
-    // every thread count. The first boundary comes from the slowest
-    // domain clock: every pending event sits at or after it. A restored
-    // run instead continues at the window the uninterrupted run's
-    // skip-ahead would have picked at the checkpoint barrier, so barrier
-    // iteration — and handoff batching — lines up exactly; normal runs
-    // keep the untouched clock-based formula.
-    Tick wend;
-    if (restored_) {
-        restored_ = false;
-        Tick next = queue_.next_event_tick();
-        for (auto& d : domains_) {
-            next = std::min(next, d->queue->next_event_tick());
-        }
-        wend = next == kMaxTick ? align_down(queue_.now(), q) + q
-                                : align_down(next, q) + q;
-    } else {
-        Tick min_now = queue_.now();
-        for (auto& d : domains_) {
-            min_now = std::min(min_now, d->queue->now());
-        }
-        wend = align_down(min_now, q) + q;
+    // First window: symmetric, from the slowest domain clock. Every pending
+    // event sits at or after its own domain's clock, so nothing sent in
+    // this window lands before its end.
+    const Tick limit = max_tick == kMaxTick ? kMaxTick : max_tick + 1;
+    Tick min_now = queue_.now();
+    for (auto& d : domains_) {
+        min_now = std::min(min_now, d->queue->now());
     }
+    Tick root_end = std::min(sat_add(min_now, q), limit);
+    Tick dom_end = root_end;
+
+    // Checkpoint state: a due checkpoint runs one symmetric window first
+    // (ckpt_window), then snapshots at that window's barrier.
+    bool interrupt_ckpt = false;
+    bool ckpt_window = false;
 
     // Liveness watchdog: consecutive barriers with zero dispatched events
     // anywhere mean the fabric is wedged (e.g. a leaked credit with no
@@ -268,10 +273,7 @@ RunResult Simulator::run_parallel(Tick max_tick)
     std::exception_ptr run_err;
     try {
     for (;;) {
-        if (max_tick != kMaxTick && wend > max_tick) {
-            wend = max_tick + 1; // final, clipped window
-        }
-        window_end_ = wend;
+        window_end_ = dom_end;
         const std::uint64_t gen =
             window_gen_.fetch_add(1, std::memory_order_release) + 1;
 
@@ -279,18 +281,17 @@ RunResult Simulator::run_parallel(Tick max_tick)
         // the workers; the stop flag is observed between events exactly
         // as in the serial loop.
         EventQueue::DrainOutcome outcome =
-            queue_.drain(wend - 1, stop_now_, executed);
-        bool interrupt_ckpt = false;
+            queue_.drain(root_end - 1, stop_now_, executed);
         while (outcome == EventQueue::DrainOutcome::stopped &&
                !exit_requested_) {
-            // Async interrupt mid-window: a checkpoint is only legal at
-            // the barrier (premature handoff flushes would perturb peer
-            // sequence numbering), so finish the window and snapshot
-            // there.
+            // Async interrupt mid-window: a checkpoint is only legal at a
+            // symmetric barrier (premature handoff flushes would perturb
+            // peer sequence numbering), so finish the window and schedule
+            // one.
             interrupt_posted_ = false;
             stop_now_ = false;
-            interrupt_ckpt = !interrupt_ckpt_path_.empty();
-            outcome = queue_.drain(wend - 1, stop_now_, executed);
+            interrupt_ckpt = interrupt_ckpt || !interrupt_ckpt_path_.empty();
+            outcome = queue_.drain(root_end - 1, stop_now_, executed);
         }
 
         await_domains(gen);
@@ -300,32 +301,73 @@ RunResult Simulator::run_parallel(Tick max_tick)
         }
 
         // Serial section: every domain is quiesced. Inject cross-domain
-        // handoffs in registration order, then apply staged functional
-        // writes in domain order — both deterministic.
+        // handoffs in registration order — deterministic — then anchor
+        // the next window on the earliest pending events (the injected
+        // handoffs included). The root has reached its exit tick if it
+        // stopped, else its horizon; every endpoint domain is past that.
+        const bool stopped = outcome == EventQueue::DrainOutcome::stopped;
+        const Tick root_reached = stopped ? queue_.now() : root_end - 1;
         for (auto& hook : barrier_hooks_) {
-            hook();
+            hook(root_reached);
         }
+        const Tick a = queue_.next_event_tick();
+        Tick b = kMaxTick;
         for (auto& d : domains_) {
-            if (d->drain_functional) {
-                d->drain_functional(wend - 1);
+            b = std::min(b, d->queue->next_event_tick());
+        }
+        const bool drained = !stopped && a == kMaxTick && b == kMaxTick;
+        const bool horizon =
+            !stopped && !drained && std::min(a, b) > max_tick;
+        if (horizon) {
+            // Every event at or below max_tick has run: line all clocks up
+            // there, as the serial loop's warp does.
+            if (queue_.now() < max_tick) {
+                queue_.warp_to(max_tick);
+            }
+            for (auto& d : domains_) {
+                if (d->queue->now() < max_tick) {
+                    d->queue->warp_to(max_tick);
+                }
             }
         }
 
-        if (outcome == EventQueue::DrainOutcome::stopped) {
+        // Apply staged functional writes in domain order, up to the tick
+        // the root has reached. Later records stay staged: a root read
+        // before their tick must not see them. A stopped root's later
+        // records belong to the next run() call, as in the serial run; at
+        // a drain or the horizon every record is due.
+        const Tick applied = drained   ? kMaxTick
+                             : horizon ? max_tick
+                                       : root_reached;
+        for (auto& d : domains_) {
+            if (d->drain_functional) {
+                d->drain_functional(applied);
+            }
+        }
+
+        if (stopped) {
             res.cause = ExitCause::exit_requested;
             res.exit_reason = exit_reason_;
             break;
         }
 
-        // Checkpoint at the barrier: every domain quiesced, handoff
-        // staging flushed, journals drained — the canonical quiescent
-        // point the restore contract is defined at.
-        const bool det_ckpt = ckpt_at_ != kMaxTick && wend > ckpt_at_;
-        if (det_ckpt || interrupt_ckpt) {
+        // Checkpoint at a symmetric barrier — the end of a checkpoint
+        // window, a full drain or the horizon: every domain has run the
+        // same events, handoff staging is flushed and every journal is
+        // applied, the canonical quiescent point the restore contract is
+        // defined at. As in the serial loop, a requested tick at or below
+        // max_tick is honoured at the horizon; the requested snapshot
+        // wins over an interrupt once its tick is passed.
+        if (ckpt_window || ((drained || horizon) && interrupt_ckpt) ||
+            (horizon && ckpt_at_ <= max_tick)) {
+            const bool requested =
+                ckpt_at_ <= (horizon ? max_tick : root_end - 1);
             std::string path =
-                det_ckpt ? std::move(ckpt_path_) : interrupt_ckpt_path_;
-            ckpt_path_.clear();
-            ckpt_at_ = kMaxTick;
+                requested ? std::move(ckpt_path_) : interrupt_ckpt_path_;
+            if (requested) {
+                ckpt_path_.clear();
+                ckpt_at_ = kMaxTick;
+            }
             checkpoint(path);
             res.cause = ExitCause::checkpointed;
             res.exit_reason = std::move(path);
@@ -346,30 +388,41 @@ RunResult Simulator::run_parallel(Tick max_tick)
             last_total = total;
         }
 
-        // Skip-ahead: derive the next window from the earliest pending
-        // event anywhere (flushed handoffs included — they are scheduled
-        // by the hooks above). Deterministic: quiesced state only.
-        Tick next = queue_.next_event_tick();
-        for (auto& d : domains_) {
-            next = std::min(next, d->queue->next_event_tick());
-        }
-        if (next == kMaxTick) {
+        if (drained) {
             res.cause = ExitCause::queue_drained;
             break;
         }
-        if (next > max_tick) {
+        if (horizon) {
             res.cause = ExitCause::horizon_reached;
-            if (queue_.now() < max_tick) {
-                queue_.warp_to(max_tick);
-            }
-            for (auto& d : domains_) {
-                if (d->queue->now() < max_tick) {
-                    d->queue->warp_to(max_tick);
-                }
-            }
             break;
         }
-        wend = align_down(next, q) + q;
+
+        // Next horizons (see the header). Nothing is pending below the
+        // tick a domain reached: the root ran to root_end - 1 and hooks
+        // schedule no earlier, an endpoint's run() left its clock at
+        // dom_end - 1, and handoffs land at or past each side's horizon.
+        // The endpoints' 2Q - 1 (not 2Q) keeps them within Q - 1 of the
+        // root, which makes every horizon at least its predecessor.
+        ensure(a >= root_end - 1 && b >= dom_end - 1,
+               "event pending below a window horizon (root next ", a,
+               ", horizon ", root_end, "; endpoints next ", b, ", horizon ",
+               dom_end, ")");
+        const Tick next_root = std::min(sat_add(std::min(a, b), q), limit);
+        Tick next_dom =
+            std::min({sat_add(a, q), sat_add(b, 2 * q - 1), limit});
+        if (ckpt_at_ < root_end || interrupt_ckpt) {
+            // Every domain has run past the requested tick (or an
+            // interrupt is pending): line all clocks up at the root's next
+            // horizon — the common end E — and snapshot there.
+            next_dom = next_root;
+            ckpt_window = true;
+        }
+        ensure(next_root >= root_end && next_dom >= dom_end,
+               "parallel window horizon moved backwards (root ", root_end,
+               " -> ", next_root, ", endpoints ", dom_end, " -> ", next_dom,
+               ")");
+        root_end = next_root;
+        dom_end = next_dom;
     }
     } catch (...) {
         run_err = std::current_exception();
@@ -405,8 +458,8 @@ RunResult Simulator::run_parallel(Tick max_tick)
         throw SimError(strcat_msg(
             "liveness watchdog: ", max_idle_quanta_,
             " consecutive window barriers dispatched zero events (window "
-            "end ",
-            window_end_, "); queues:\n", queues,
+            "ends: root ",
+            root_end, ", endpoints ", dom_end, "); queues:\n", queues,
             "component occupancy:\n", occupancy_report()));
     }
 
@@ -601,7 +654,6 @@ void Simulator::restore(const std::string& path)
                ckpt_live_total_, " live entries (a component is missing "
                "an Event in its serialize())");
     }
-    restored_ = true;
 }
 
 std::string Simulator::occupancy_report() const

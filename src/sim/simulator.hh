@@ -6,19 +6,44 @@
 // `set_threads(N>=2)` is called *and* the topology carves simulation
 // domains (TopologyBuilder does this at PCIe downstream-link boundaries),
 // each domain gets its own EventQueue and run() switches to a conservative
-// parallel loop: every domain free-runs an absolute-grid window
-// [T, T+Q) on its own thread (the root domain on the caller's thread),
+// parallel loop: every endpoint domain free-runs a window on its own
+// thread while the root domain runs its window on the caller's thread,
 // then all domains meet at a barrier. Q — the quantum — is the minimum
-// cross-domain latency (PCIe link propagation delay), so any event a
-// domain schedules into another domain lands at tick >= T+Q: strictly
-// inside a *future* window, published at the barrier. Cross-domain
-// traffic is staged in per-edge buffers during the window and injected by
-// registered barrier hooks in deterministic registration order with exact
-// (tick, priority, sequence) keys, so dispatch order — and every stat —
-// is bit-identical to the serial run for any thread count. The barrier
-// also drains per-domain functional-write journals (device->host DMA data
-// staged off-thread; see mem/write_journal.hh) and skips idle windows by
-// warping the grid to the earliest pending event.
+// cross-domain latency (PCIe link propagation delay): an event scheduled
+// into another domain lands at least Q after the tick of the event that
+// sent it.
+//
+// Windows are anchored on the earliest pending events, with one horizon
+// for the root domain and one for every endpoint domain. The carve is a
+// star — each boundary link joins the root to exactly one endpoint
+// domain — so an effect from one endpoint reaches another only through
+// the root, at least 2Q later. At each barrier, with `a` the root's
+// earliest pending tick and `b` the earliest over the endpoint domains,
+// the root runs to H_root = min(a, b) + Q and every endpoint domain to
+// H_ep = min(a + Q, b + 2Q - 1) (exclusive). Whatever one side sends in
+// the window lands at or past the other side's horizon; an idle root
+// lets the endpoints run nearly 2Q per window. The root never runs past
+// the endpoints, so a mid-window read fence at root tick t finds every
+// device->host write with tick <= t already staged. Every horizon is at
+// least the previous one, so no clock ever moves backwards. The first
+// window of a run() call is symmetric: from the slowest domain clock to
+// that clock plus Q. Cross-domain traffic is staged in per-edge buffers
+// during the window and injected by registered barrier hooks in
+// deterministic registration order with exact (tick, priority, sequence)
+// keys, so dispatch order — and every stat — is bit-identical to the
+// serial run for any thread count. Hooks get the tick the root reached
+// (H_root - 1) and arm nothing earlier, so the next window's anchors never
+// sit below a domain's clock. The barrier also applies per-domain
+// functional-write journals (device->host DMA data staged off-thread; see
+// mem/write_journal.hh) up to the tick the root has reached, H_root - 1.
+//
+// A checkpoint (requested tick reached, or an interrupt posted) first
+// runs one symmetric window — every domain to E = H_root, the common end
+// min(H_root, H_ep) — and snapshots at its barrier, where every domain has
+// run exactly the events below E and every journal is empty. The horizon
+// barrier of run(max_tick), where every clock is warped to max_tick, is
+// symmetric too: a checkpoint due there is written there, as in the
+// serial loop.
 //
 // ACCESYS_THREADS=1 (the default) never carves domains: the exact serial
 // code path runs, untouched.
@@ -71,8 +96,8 @@ class Simulator {
         std::function<void()> install;
         /// Apply staged functional writes with tick <= arg to the shared
         /// backing store. Called only while the domain is quiesced (at
-        /// barriers with the window end, at read fences with the read
-        /// tick), in domain order. May be empty.
+        /// barriers with the tick the root domain has reached, at read
+        /// fences with the read tick), in domain order. May be empty.
         std::function<void(Tick)> drain_functional;
         std::uint64_t events = 0; ///< events executed in the current run()
         /// Window-completion publication: the generation of the last
@@ -171,8 +196,10 @@ class Simulator {
     /// Register a hook run in the serial section of every window barrier,
     /// in registration order (the deterministic cross-domain injection
     /// order). Hooks flush boundary-edge handoff buffers: they may touch
-    /// any domain's queue/pools because every domain is quiesced.
-    void register_barrier_hook(std::function<void()> fn)
+    /// any domain's queue/pools because every domain is quiesced. The
+    /// argument is the tick the root domain has reached (every endpoint
+    /// domain is at or past it); nothing a hook schedules may run earlier.
+    void register_barrier_hook(std::function<void(Tick)> fn)
     {
         barrier_hooks_.push_back(std::move(fn));
     }
@@ -234,8 +261,9 @@ class Simulator {
     void checkpoint(const std::string& path);
 
     /// Ask run() to write a checkpoint to `path` at the first legal point
-    /// covering tick `at` (exactly `at` when serial, the first barrier
-    /// whose window covers it when parallel), then return
+    /// covering tick `at` (exactly `at` when serial; when parallel, the
+    /// symmetric barrier that follows the first barrier by which every
+    /// domain has run past `at`), then return
     /// ExitCause::checkpointed. Deterministic: the snapshot is identical
     /// for every ACCESYS_THREADS by the barrier bit-identity contract.
     void request_checkpoint_at(std::string path, Tick at);
@@ -266,7 +294,6 @@ class Simulator {
     /// The next run() resumes such that final results are bit-identical
     /// to the uninterrupted run. Throws SimError on any mismatch.
     void restore(const std::string& path);
-    [[nodiscard]] bool restored() const noexcept { return restored_; }
 
     // --- liveness watchdog --------------------------------------------------
 
@@ -313,11 +340,12 @@ class Simulator {
     Tick quantum_ = 0;
     std::vector<std::unique_ptr<Domain>> domains_;
     Domain* active_domain_ = nullptr; ///< inside begin/end_domain scope
-    std::vector<std::function<void()>> barrier_hooks_;
+    std::vector<std::function<void(Tick)>> barrier_hooks_;
     /// Set only while run_parallel() is between startup and join; gates
-    /// sync_functional_reads. The end tick of the in-flight window lives
-    /// in window_end_ (written by the root thread before releasing the
-    /// window, read by workers after acquiring the generation).
+    /// sync_functional_reads. The endpoint domains' (exclusive) horizon
+    /// for the in-flight window lives in window_end_ (written by the root
+    /// thread before releasing the window, read by workers after acquiring
+    /// the generation).
     bool parallel_running_ = false;
     Tick window_end_ = 0;
     /// Window-release counter: bumped (release) by the root thread after
@@ -336,7 +364,6 @@ class Simulator {
     /// the same cost the exit flag always paid).
     bool stop_now_ = false;
     bool interrupt_posted_ = false;
-    bool restored_ = false;
     std::uint64_t config_hash_ = 0;
     std::string ckpt_path_;            ///< request_checkpoint_at target
     Tick ckpt_at_ = kMaxTick;          ///< request_checkpoint_at tick

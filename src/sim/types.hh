@@ -5,6 +5,7 @@
 //   * Addresses are 64-bit byte addresses.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <limits>
 
@@ -99,12 +100,14 @@ constexpr unsigned log2i(std::uint64_t v)
 /// Round `v` down to a multiple of `align` (power of two).
 constexpr std::uint64_t align_down(std::uint64_t v, std::uint64_t align)
 {
+    assert(is_pow2(align));
     return v & ~(align - 1);
 }
 
 /// Round `v` up to a multiple of `align` (power of two).
 constexpr std::uint64_t align_up(std::uint64_t v, std::uint64_t align)
 {
+    assert(is_pow2(align));
     return (v + align - 1) & ~(align - 1);
 }
 

@@ -231,6 +231,39 @@ TEST_F(DmaFixture, ZeroLengthJobRejected)
     EXPECT_THROW(dma->submit(DmaJob{}), SimError);
 }
 
+TEST(WriteJournal, AppliesTickPrefixesAndKeepsLaterRecords)
+{
+    // The parallel core applies a journal only up to the root's tick, so
+    // records can outlive a barrier while their applied predecessors are
+    // compacted away. Each record snapshots its source at record time.
+    mem::BackingStore store;
+    mem::WriteJournal journal;
+    const Addr src = 0x1000;
+    const Addr dst = 0x8000;
+    for (std::uint64_t i = 0; i < 6; ++i) {
+        store.write_obj<std::uint64_t>(src, 100 + i);
+        journal.record(/*t=*/10 * (i + 1), store, dst + 8 * i, src, 8);
+    }
+    store.write_obj<std::uint64_t>(src, 0); // later writes are not seen
+
+    journal.apply_until(store, 35); // ticks 10, 20, 30
+    EXPECT_FALSE(journal.empty());
+    for (std::uint64_t i = 0; i < 6; ++i) {
+        EXPECT_EQ(store.read_obj<std::uint64_t>(dst + 8 * i),
+                  i < 3 ? 100 + i : 0)
+            << i;
+    }
+    journal.record(70, store, dst + 48, src, 8); // appended after compaction
+    journal.apply_until(store, 50);              // ticks 40, 50
+    EXPECT_EQ(store.read_obj<std::uint64_t>(dst + 32), 104u);
+    EXPECT_EQ(store.read_obj<std::uint64_t>(dst + 40), 0u);
+    journal.apply_until(store, 70);
+    EXPECT_TRUE(journal.empty());
+    EXPECT_EQ(store.read_obj<std::uint64_t>(dst + 40), 105u);
+    EXPECT_EQ(store.read_obj<std::uint64_t>(dst + 48), 0u);
+    EXPECT_EQ(journal.recorded_total(), 7u);
+}
+
 TEST(DmaParams, Validation)
 {
     DmaParams p;

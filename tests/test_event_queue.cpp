@@ -1,7 +1,9 @@
 // Unit and property tests for the discrete-event core.
 #include <gtest/gtest.h>
+#include <cstdio>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "sim/event.hh"
@@ -455,8 +457,8 @@ TEST(Simulator, CrossDomainHandoffOrderIsDeterministic)
             }
             p.staged.clear();
         };
-        sim.register_barrier_hook([&flush, &a] { flush(a); });
-        sim.register_barrier_hook([&flush, &b] { flush(b); });
+        sim.register_barrier_hook([&flush, &a](Tick) { flush(a); });
+        sim.register_barrier_hook([&flush, &b](Tick) { flush(b); });
         sim.set_quantum(kQ);
 
         const auto rr = sim.run();
@@ -472,6 +474,45 @@ TEST(Simulator, CrossDomainHandoffOrderIsDeterministic)
     EXPECT_EQ(run_once(2), expected) << "run-to-run divergence";
     EXPECT_EQ(run_once(4), expected)
         << "worker count must not affect injection order";
+}
+
+TEST(Simulator, CheckpointDueInTheLastWindowIsWritten)
+{
+    // run(max_tick) with a requested checkpoint tick inside the final,
+    // clipped window: the serial loop snapshots there, and the parallel
+    // loop must too — at the horizon barrier, where every clock has been
+    // lined up at max_tick — instead of returning horizon_reached.
+    constexpr Tick kQ = 100;
+    constexpr Tick kCkptAt = 975;
+    constexpr Tick kMax = 980;
+
+    for (const unsigned threads : {1U, 2U}) {
+        Simulator sim;
+        sim.set_threads(threads);
+        EventQueue* dq = &sim.queue();
+        if (threads > 1) {
+            const std::size_t d = sim.begin_domain("d");
+            sim.end_domain();
+            dq = sim.domain(d).queue.get();
+            sim.set_quantum(kQ);
+        }
+        // Root events every 30 ticks, domain events every 50: no window
+        // anchor falls where a horizon could end inside (975, 980].
+        Event r("r", nullptr);
+        Event e("e", nullptr);
+        r.set_callback([&] { sim.queue().schedule(r, sim.queue().now() + 30); });
+        e.set_callback([&] { dq->schedule(e, dq->now() + 50); });
+        sim.queue().schedule(r, 0);
+        dq->schedule(e, 0);
+
+        const std::string path = ::testing::TempDir() + "last_window_t" +
+                                 std::to_string(threads) + ".ckpt";
+        sim.request_checkpoint_at(path, kCkptAt);
+        const RunResult rr = sim.run(kMax);
+        EXPECT_EQ(rr.cause, ExitCause::checkpointed) << "threads=" << threads;
+        EXPECT_EQ(rr.exit_reason, path) << "threads=" << threads;
+        EXPECT_EQ(std::remove(path.c_str()), 0) << "threads=" << threads;
+    }
 }
 
 TEST(Clocked, EdgeMath)

@@ -157,6 +157,23 @@ TEST_F(CtrlFixture, LargerRequestsSplitIntoBursts)
     EXPECT_EQ(sim.stats().value("mem.bytes_read"), 256.0);
 }
 
+TEST_F(CtrlFixture, NonPow2BurstsRoundByDivision)
+{
+    // A 24-bit channel moves 24 B per burst: a 256 B read at 0x1000 spans
+    // bytes 4080..4368 of the burst grid, i.e. 12 bursts (a power-of-two
+    // mask would model 10 starting at 4096).
+    params.dram.data_width_bits = 24;
+    ASSERT_EQ(params.dram.burst_bytes(), 24u);
+    MemCtrl ctrl(sim, "mem", params, range);
+    MockRequestor req("req");
+    req.port().bind(ctrl.port());
+    auto pkt = Packet::make_read(0x1000, 256);
+    ASSERT_TRUE(req.port().send_req(pkt));
+    test::drain(sim);
+    ASSERT_EQ(req.responses.size(), 1u);
+    EXPECT_EQ(ctrl.bursts(), 12u);
+}
+
 struct SimpleMemFixture : ::testing::Test {
     Simulator sim;
     SimpleMemParams params;

@@ -46,19 +46,25 @@ struct SimSnapshot {
     std::string stats_json;
     Tick end_tick = 0;
     std::uint64_t events = 0;
+    std::uint64_t barriers = 0;
+    Tick quantum = 0;
     bool verified = false;
 };
 
-/// `threads` == 0 leaves the config default (the ACCESYS_THREADS
-/// snapshot) in place; any other value pins the worker budget. A non-null
-/// `fault` installs that FaultPlan on the config.
-SimSnapshot run_gemm_sim(std::size_t devices, std::uint32_t size,
-                         unsigned threads = 0,
-                         const FaultPlan* fault = nullptr)
+/// The paper-default config with `devices` endpoints. `threads` == 0
+/// leaves the config default (the ACCESYS_THREADS snapshot) in place; any
+/// other value pins the worker budget. A non-null `fault` installs that
+/// FaultPlan. Placement::devmem gives every endpoint HBM2 device memory.
+core::SystemConfig gemm_config(std::size_t devices, unsigned threads,
+                               const FaultPlan* fault,
+                               core::Placement placement)
 {
     core::SystemConfig cfg = core::SystemConfig::paper_default();
     if (devices > 1) {
         cfg.set_num_devices(devices);
+    }
+    if (placement == core::Placement::devmem) {
+        cfg.set_devmem("HBM2");
     }
     if (threads != 0) {
         cfg.threads = threads;
@@ -66,16 +72,26 @@ SimSnapshot run_gemm_sim(std::size_t devices, std::uint32_t size,
     if (fault != nullptr) {
         cfg.fault_plan = *fault;
     }
-    core::System sys(cfg);
+    return cfg;
+}
+
+SimSnapshot run_gemm_sim(std::size_t devices, std::uint32_t size,
+                         unsigned threads = 0,
+                         const FaultPlan* fault = nullptr,
+                         core::Placement placement = core::Placement::host)
+{
+    core::System sys(gemm_config(devices, threads, fault, placement));
     core::Runner runner(sys);
     const workload::GemmSpec spec{size, size, size, /*seed=*/3};
     for (std::size_t d = 0; d < devices; ++d) {
-        runner.dispatch(d, spec, core::Placement::host, /*verify=*/true);
+        runner.dispatch(d, spec, placement, /*verify=*/true);
     }
     const auto res = runner.run_dispatched();
 
     SimSnapshot snap;
     snap.end_tick = sys.sim().now();
+    snap.barriers = sys.sim().barrier_waits();
+    snap.quantum = sys.sim().quantum();
     snap.events = sys.sim().queue().events_processed();
     snap.verified = res.all_verified();
     std::ostringstream text;
@@ -98,28 +114,15 @@ SimSnapshot run_gemm_sim(std::size_t devices, std::uint32_t size,
 SimSnapshot run_gemm_split(std::size_t devices, std::uint32_t size,
                            unsigned save_threads, unsigned restore_threads,
                            const FaultPlan* fault, Tick ckpt_at,
-                           const std::string& path)
+                           const std::string& path,
+                           core::Placement placement = core::Placement::host)
 {
     const workload::GemmSpec spec{size, size, size, /*seed=*/3};
-    auto make_cfg = [&](unsigned threads) {
-        core::SystemConfig cfg = core::SystemConfig::paper_default();
-        if (devices > 1) {
-            cfg.set_num_devices(devices);
-        }
-        if (threads != 0) {
-            cfg.threads = threads;
-        }
-        if (fault != nullptr) {
-            cfg.fault_plan = *fault;
-        }
-        return cfg;
-    };
-
     {
-        core::System sys(make_cfg(save_threads));
+        core::System sys(gemm_config(devices, save_threads, fault, placement));
         core::Runner runner(sys);
         for (std::size_t d = 0; d < devices; ++d) {
-            runner.dispatch(d, spec, core::Placement::host, /*verify=*/true);
+            runner.dispatch(d, spec, placement, /*verify=*/true);
         }
         sys.sim().request_checkpoint_at(path, ckpt_at);
         const auto res = runner.run_dispatched();
@@ -128,10 +131,10 @@ SimSnapshot run_gemm_split(std::size_t devices, std::uint32_t size,
             << " before the checkpoint tick " << ckpt_at;
     }
 
-    core::System sys(make_cfg(restore_threads));
+    core::System sys(gemm_config(devices, restore_threads, fault, placement));
     core::Runner runner(sys);
     for (std::size_t d = 0; d < devices; ++d) {
-        runner.dispatch(d, spec, core::Placement::host, /*verify=*/true);
+        runner.dispatch(d, spec, placement, /*verify=*/true);
     }
     runner.set_restore_path(path);
     const auto res = runner.run_dispatched();
@@ -209,6 +212,67 @@ TEST(PoolDeterminism, ParallelDomainsMatchSerialBitIdentical)
             << "threads=" << threads;
         EXPECT_EQ(serial.stats_json, warm.stats_json)
             << "threads=" << threads;
+    }
+}
+
+TEST(PoolDeterminism, DevmemWindowsSpanAtLeastOneQuantum)
+{
+    // Barrier-count regression lock for the parallel core's window rule.
+    // Windows anchored on the earliest pending events cover at least one
+    // quantum each (the endpoints up to 2Q while the root is idle), so a
+    // busy devmem fleet meets fewer than end_tick / Q barriers. A window
+    // grid that shrinks windows below Q — e.g. rounding a non-power-of-two
+    // quantum with a bit mask — fails this before it shows up as lost
+    // throughput. Results stay bit-identical to the serial run.
+    const SimSnapshot serial =
+        run_gemm_sim(4, 128, /*threads=*/1, nullptr, core::Placement::devmem);
+    ASSERT_TRUE(serial.verified);
+    const SimSnapshot par =
+        run_gemm_sim(4, 128, /*threads=*/2, nullptr, core::Placement::devmem);
+    EXPECT_TRUE(par.verified);
+    EXPECT_EQ(serial.end_tick, par.end_tick);
+    EXPECT_EQ(serial.stats_text, par.stats_text);
+    EXPECT_EQ(serial.stats_json, par.stats_json);
+    ASSERT_GT(par.quantum, 0u);
+    EXPECT_LT(par.barriers * par.quantum, par.end_tick)
+        << par.barriers << " barriers at quantum " << par.quantum;
+}
+
+TEST(PoolDeterminism, BackToBackRoundsBitIdenticalAcrossThreads)
+{
+    // Each run() call ends with the endpoint domains' clocks up to a
+    // window ahead of the root's exit tick, and the next call starts from
+    // there. Three dispatch rounds and a single-device run_gemm() on one
+    // System must match the serial run for both placements.
+    for (const core::Placement place :
+         {core::Placement::devmem, core::Placement::host}) {
+        auto run = [place](unsigned threads) {
+            core::System sys(gemm_config(4, threads, nullptr, place));
+            core::Runner runner(sys);
+            bool verified = true;
+            for (std::uint32_t round = 0; round < 3; ++round) {
+                const workload::GemmSpec spec{32 + 16 * round, 32, 48,
+                                              /*seed=*/round};
+                for (std::size_t d = 0; d < 4; ++d) {
+                    runner.dispatch(d, spec, place, /*verify=*/true);
+                }
+                verified = runner.run_dispatched().all_verified() && verified;
+            }
+            verified = runner.run_gemm({64, 64, 64, /*seed=*/9}, place,
+                                       /*verify=*/true)
+                           .verified &&
+                       verified;
+            std::ostringstream json;
+            sys.stats().write_json(json);
+            EXPECT_TRUE(verified) << "threads=" << threads;
+            return std::make_pair(sys.sim().now(), json.str());
+        };
+        const auto serial = run(1);
+        for (const unsigned threads : {2U, 4U}) {
+            const auto par = run(threads);
+            EXPECT_EQ(serial.first, par.first) << "threads=" << threads;
+            EXPECT_EQ(serial.second, par.second) << "threads=" << threads;
+        }
     }
 }
 
@@ -329,6 +393,31 @@ TEST(PoolDeterminism, SeededFaultPlanBitIdenticalAcrossThreads)
         EXPECT_EQ(serial.stats_text, par.stats_text)
             << "threads=" << threads;
         EXPECT_EQ(serial.stats_json, par.stats_json)
+            << "threads=" << threads;
+    }
+}
+
+TEST(PoolDeterminism, StaleDllKicksWaitForTheBarrierTick)
+{
+    // Corruption on the host link with a shallow replay buffer leaves the
+    // root-side transmitter replay-starved with lazily-unharvested ACKs
+    // while it idles to the end of a window. A NAK flushed at the barrier
+    // then kicks the DLL for a record whose arrival is already past; the
+    // kick (and any replay it sends) must wait for the barrier tick, not
+    // run at the root's last-event clock below the endpoint's, or the
+    // replay lands in the endpoint domain's past.
+    FaultPlan plan;
+    plan.seed = 5;
+    plan.corrupt_rate = 0.02;
+    plan.replay_buffer_tlps = 4;
+
+    const SimSnapshot serial = run_gemm_sim(1, 64, /*threads=*/1, &plan);
+    EXPECT_TRUE(serial.verified);
+    for (const unsigned threads : {2U, 4U}) {
+        const SimSnapshot par = run_gemm_sim(1, 64, threads, &plan);
+        EXPECT_TRUE(par.verified) << "threads=" << threads;
+        EXPECT_EQ(serial.end_tick, par.end_tick) << "threads=" << threads;
+        EXPECT_EQ(serial.stats_text, par.stats_text)
             << "threads=" << threads;
     }
 }
@@ -472,6 +561,33 @@ TEST(CheckpointRoundTrip, SaveSerialRestoreParallel)
     EXPECT_EQ(straight.end_tick, split.end_tick);
     EXPECT_EQ(straight.stats_text, split.stats_text);
     EXPECT_EQ(straight.stats_json, split.stats_json);
+}
+
+TEST(CheckpointRoundTrip, DevmemSaveParallelRestoreAnyThreads)
+{
+    // Device-memory fleet: the endpoint domains run ahead of the root, so
+    // the checkpoint is taken at a symmetric barrier after one
+    // equal-horizon window, with every write journal applied. A snapshot
+    // written on 4 domain threads must resume bit-identically on 1, 2 and
+    // 4.
+    const SimSnapshot straight =
+        run_gemm_sim(4, 64, /*threads=*/1, nullptr, core::Placement::devmem);
+    ASSERT_TRUE(straight.verified);
+    const Tick mid = straight.end_tick / 2;
+    for (const unsigned threads : {1U, 2U, 4U}) {
+        const std::string path = ::testing::TempDir() + "devmem_4to" +
+                                 std::to_string(threads) + ".ckpt";
+        const SimSnapshot split =
+            run_gemm_split(4, 64, /*save_threads=*/4, threads, nullptr, mid,
+                           path, core::Placement::devmem);
+        EXPECT_TRUE(split.verified) << "threads=" << threads;
+        EXPECT_EQ(straight.end_tick, split.end_tick)
+            << "threads=" << threads;
+        EXPECT_EQ(straight.stats_text, split.stats_text)
+            << "threads=" << threads;
+        EXPECT_EQ(straight.stats_json, split.stats_json)
+            << "threads=" << threads;
+    }
 }
 
 TEST(CheckpointRoundTrip, MidLinkDownWindowWithSeededCorruption)
