@@ -40,7 +40,7 @@ int main(int argc, char** argv)
     std::vector<double> bws = {8, 12, 16, 24, 32, 50, 64, 100, 128, 256};
     std::vector<double> lats = {1, 2, 4, 8, 12, 16, 24, 36};
     if (quick) {
-        bws = {8, 32, 256};
+        bws = {8, 50, 256};
         lats = {1, 12, 36};
     }
 

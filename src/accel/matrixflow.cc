@@ -397,6 +397,35 @@ void MatrixFlowDevice::run_complete()
         dma::Continuation{this, kContFlagPosted, 0}});
 }
 
+Tick MatrixFlowDevice::next_send_bound(Tick b) const
+{
+    if (!pcie_quiet() || fetching_ || !cmd_fifo_.empty() ||
+        !aperture_reads_.empty() || !dma_.idle() || mf_fault_ != nullptr) {
+        return b;
+    }
+    if (!run_.has_value()) {
+        return kMaxTick; // only a doorbell from the host wakes it
+    }
+    const Run& r = *run_;
+    if (r.mover == &pcie_mover_ || r.all_blocks_issued) {
+        return b; // operands, C rows or the flag may cross PCIe next
+    }
+    // Strips compute one at a time; count the tiles still to compute in
+    // this block and in every later one.
+    std::uint64_t strips_left = r.num_strips - r.next_compute_strip;
+    if (r.computing) {
+        --strips_left; // the current strip ends at compute_event_.when()
+    }
+    std::uint64_t tiles = div_ceil(r.cur_cols, 16) * strips_left;
+    for (std::uint32_t jb = r.cur_jb + 1; jb < r.num_jblocks; ++jb) {
+        const std::uint32_t cols =
+            std::min(r.jb_cols, r.cmd.n - jb * r.jb_cols);
+        tiles += div_ceil(cols, 16) * std::uint64_t{r.num_strips};
+    }
+    const Tick start = r.computing ? compute_event_.when() : b;
+    return start + static_cast<Tick>(tiles) * sa_.tile_ticks(r.cmd.k);
+}
+
 bool MatrixFlowDevice::hang_roll()
 {
     MfFaultState& f = *mf_fault_;

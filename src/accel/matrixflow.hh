@@ -99,6 +99,14 @@ class MatrixFlowDevice final : public pcie::Endpoint,
         return last_complete_tick_;
     }
 
+    /// Lower bound on the tick this device next sends upstream, given
+    /// `b`, the tick of the earliest event pending in its domain, and no
+    /// new TLP arriving meanwhile: kMaxTick when idle, the end of the
+    /// remaining strip computes during a device-memory run (the
+    /// completion flag is the run's only upstream send, posted after the
+    /// last strip), and `b` in every other state.
+    [[nodiscard]] Tick next_send_bound(Tick b) const;
+
     // dma::DmaPort
     void dma_send(pcie::TlpPtr tlp, pcie::SentHook on_sent) override
     {

@@ -222,8 +222,12 @@ Topology TopologyBuilder::build(Simulator& sim, mem::BackingStore& store,
     // delay over all boundary links — the conservative lookahead from
     // which Simulator::run_parallel sizes its windows. Every boundary link
     // joins the root to exactly one endpoint domain; that star shape is
-    // what lets the endpoints run up to 2Q ahead of their own earliest
-    // event while the root is idle.
+    // what lets the endpoints run up to 2Q past their domain's promise
+    // while the root is idle. The promise — a lower bound on the domain's
+    // next upstream send — is the earliest pending event unless the link
+    // carries nothing toward the device and the device itself can bound
+    // its next send (MatrixFlowDevice::next_send_bound); the link ensures
+    // every endpoint-side send keeps it.
     const bool carve = sim.threads() > 1;
     Tick min_prop = kMaxTick;
     for (std::size_t i = 0; i < plan.devices.size(); ++i) {
@@ -308,6 +312,13 @@ Topology TopologyBuilder::build(Simulator& sim, mem::BackingStore& store,
                 [sp, lk](Tick reached) {
                     sp->note_handoffs(lk->flush_boundary(reached));
                 });
+            const accel::MatrixFlowDevice* dv = inst.device.get();
+            dom.promise = [lk, dv](Tick b) {
+                const Tick p = lk->quiet_toward_b() ? dv->next_send_bound(b)
+                                                    : b;
+                lk->promise_b_sends(p);
+                return p;
+            };
         }
         topo.devices.push_back(std::move(inst));
     }

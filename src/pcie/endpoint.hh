@@ -90,6 +90,14 @@ class Endpoint : public SimObject, public PcieNode {
     /// Number of TLPs waiting for wire/credits.
     [[nodiscard]] std::size_t egress_depth() const;
 
+    /// Nothing parked in the ingress delay stage or the egress queue, and
+    /// no fault state: the base class itself will send nothing upstream
+    /// until a new TLP arrives.
+    [[nodiscard]] bool pcie_quiet() const noexcept
+    {
+        return delay_q_.empty() && egress_q_.empty() && fault_ == nullptr;
+    }
+
     /// Translate an absolute BAR address to a BAR-relative offset.
     [[nodiscard]] Addr bar_offset(Addr addr) const;
 

@@ -207,9 +207,15 @@ void PcieLink::set_boundary(EventQueue& a_queue, TlpPool& a_pool,
     dirs_[1].rx_pool = &a_pool;
 }
 
+bool PcieLink::quiet_toward_b() const
+{
+    return fault_ == nullptr && dirs_[0].in_flight.empty();
+}
+
 std::uint64_t PcieLink::flush_boundary(Tick reached)
 {
     std::uint64_t moved = 0;
+    b_promise_ = 0; // the promise covered the window that just ended
     if (fault_ != nullptr) {
         for (unsigned s = 0; s < 2; ++s) {
             Direction& d = dirs_[s];
@@ -409,6 +415,7 @@ Tick PcieLink::send_attempt(unsigned side, TlpPtr tlp, bool is_replay)
     const Tick arrival = d.busy_until + prop_ticks_;
 
     if (boundary_) {
+        check_promise(side, d.tx_q->now());
         if (!is_replay) {
             d.sh_tlps += 1;
             d.sh_payload += tlp->payload_bytes();
@@ -484,6 +491,7 @@ void PcieLink::queue_dll(unsigned dir, DllRecord rec)
     Direction& d = dirs_[dir];
     FaultDir& f = fault_->dir[dir];
     if (boundary_) {
+        check_promise(1 - dir, d.rx_q->now());
         f.staged_dll.push_back(rec);
         return;
     }
@@ -683,6 +691,7 @@ void PcieLink::transmit(unsigned from_side, TlpPtr tlp)
         // Cross-domain: stage on the transmit side. The arrival is at
         // least a propagation delay (>= the barrier quantum) away, so the
         // barrier that injects it always precedes the delivery window.
+        check_promise(from_side, d.tx_q->now());
         d.sh_tlps += 1;
         d.sh_payload += tlp->payload_bytes();
         d.sh_wire += bytes;
@@ -733,6 +742,7 @@ void PcieLink::queue_credit_return(unsigned to_side, unsigned hdr,
     Direction& d = dirs_[to_side];
     const Tick arrival = d.rx_q->now() + prop_ticks_;
     if (boundary_) {
+        check_promise(1 - to_side, d.rx_q->now());
         d.staged_credits.push_back(CreditReturn{arrival, hdr, data});
         return;
     }

@@ -217,6 +217,19 @@ class PcieLink final : public SimObject {
     /// the number of TLP handoffs injected.
     std::uint64_t flush_boundary(Tick reached);
 
+    /// Nothing is in flight toward end_b and no fault state exists: until
+    /// end_a's domain sends again, end_b receives nothing, so it owes no
+    /// credit return or DLL record. Root thread, at barriers after
+    /// flush_boundary() (which empties the a->b staging).
+    [[nodiscard]] bool quiet_toward_b() const;
+
+    /// end_b's domain promises to stage no cross-domain send — TLP,
+    /// credit return or DLL record — before tick `t` in the coming window
+    /// (see Simulator::Domain::promise); each such staging point ensures
+    /// it. Root thread, at barriers only. The promise covers one window:
+    /// flush_boundary() clears it, so every run() starts without one.
+    void promise_b_sends(Tick t) noexcept { b_promise_ = t; }
+
     /// Arms the per-direction retrain events for scheduled link-down
     /// windows (fault model only; boundary wiring is final by startup).
     void startup() override;
@@ -389,6 +402,15 @@ class PcieLink final : public SimObject {
     /// Return credits the wire ate (dead TLP / failed-direction drop).
     void synthesize_credits(unsigned side, unsigned hdr, std::uint64_t data);
 
+    /// Boundary mode: a send staged by `side` at tick `now` keeps
+    /// end_b's promise (end_a never promises).
+    void check_promise(unsigned side, Tick now) const
+    {
+        ensure(side == 0 || now >= b_promise_, name(),
+               ": endpoint-side send at tick ", now,
+               " breaks its promise of ", b_promise_);
+    }
+
     void transmit(unsigned from_side, TlpPtr tlp);
     void queue_credit_return(unsigned to_side, unsigned hdr,
                              std::uint64_t data);
@@ -402,6 +424,7 @@ class PcieLink final : public SimObject {
     LinkParams params_;
     bool eager_credits_ = false; ///< ACCESYS_EAGER_CREDITS escape hatch
     bool boundary_ = false;      ///< set by set_boundary()
+    Tick b_promise_ = 0;         ///< see promise_b_sends()
     // Serialization/propagation constants hoisted out of the per-TLP path
     // (FP divides are too expensive to re-derive per packet).
     double ser_ps_per_byte_ = 0.0;

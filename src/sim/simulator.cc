@@ -402,14 +402,20 @@ RunResult Simulator::run_parallel(Tick max_tick)
         // schedule no earlier, an endpoint's run() left its clock at
         // dom_end - 1, and handoffs land at or past each side's horizon.
         // The endpoints' 2Q - 1 (not 2Q) keeps them within Q - 1 of the
-        // root, which makes every horizon at least its predecessor.
+        // root, which makes every horizon at least its predecessor. The
+        // proofs hold for any P >= b, so promises only stretch windows.
         ensure(a >= root_end - 1 && b >= dom_end - 1,
                "event pending below a window horizon (root next ", a,
                ", horizon ", root_end, "; endpoints next ", b, ", horizon ",
                dom_end, ")");
-        const Tick next_root = std::min(sat_add(std::min(a, b), q), limit);
+        Tick p = kMaxTick;
+        for (auto& d : domains_) {
+            const Tick bi = d->queue->next_event_tick();
+            p = std::min(p, d->promise ? std::max(d->promise(bi), bi) : bi);
+        }
+        const Tick next_root = std::min(sat_add(std::min(a, p), q), limit);
         Tick next_dom =
-            std::min({sat_add(a, q), sat_add(b, 2 * q - 1), limit});
+            std::min({sat_add(a, q), sat_add(p, 2 * q - 1), limit});
         if (ckpt_at_ < root_end || interrupt_ckpt) {
             // Every domain has run past the requested tick (or an
             // interrupt is pending): line all clocks up at the root's next

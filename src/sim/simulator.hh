@@ -17,25 +17,33 @@
 // for the root domain and one for every endpoint domain. The carve is a
 // star — each boundary link joins the root to exactly one endpoint
 // domain — so an effect from one endpoint reaches another only through
-// the root, at least 2Q later. At each barrier, with `a` the root's
-// earliest pending tick and `b` the earliest over the endpoint domains,
-// the root runs to H_root = min(a, b) + Q and every endpoint domain to
-// H_ep = min(a + Q, b + 2Q - 1) (exclusive). Whatever one side sends in
-// the window lands at or past the other side's horizon; an idle root
-// lets the endpoints run nearly 2Q per window. The root never runs past
-// the endpoints, so a mid-window read fence at root tick t finds every
-// device->host write with tick <= t already staged. Every horizon is at
-// least the previous one, so no clock ever moves backwards. The first
-// window of a run() call is symmetric: from the slowest domain clock to
-// that clock plus Q. Cross-domain traffic is staged in per-edge buffers
-// during the window and injected by registered barrier hooks in
-// deterministic registration order with exact (tick, priority, sequence)
-// keys, so dispatch order — and every stat — is bit-identical to the
-// serial run for any thread count. Hooks get the tick the root reached
-// (H_root - 1) and arm nothing earlier, so the next window's anchors never
-// sit below a domain's clock. The barrier also applies per-domain
-// functional-write journals (device->host DMA data staged off-thread; see
-// mem/write_journal.hh) up to the tick the root has reached, H_root - 1.
+// the root, at least 2Q later. At each barrier every endpoint domain i
+// publishes a promise P_i: a lower bound on the tick of its next boundary
+// send (TLP, credit return or DLL record), given that nothing new arrives
+// from the root during the window. It defaults to b_i, the domain's
+// earliest pending tick, and is never below it; components that can
+// prove they stay silent longer (an idle accelerator, or one computing
+// from device memory) promise later ticks. With `a` the root's earliest
+// pending tick and P = min_i P_i, the root runs to H_root = min(a, P) + Q
+// and every endpoint domain to H_ep = min(a + Q, P + 2Q - 1) (exclusive).
+// Whatever one side sends in the window lands at or past the other
+// side's horizon; an idle root lets the endpoints run nearly 2Q past
+// their promise, and endpoints that promise silence let both sides run
+// to the root's next event plus Q. Every boundary send ensures its
+// domain keeps its promise. The root never runs past the endpoints, so a
+// mid-window read fence at root tick t finds every device->host write
+// with tick <= t already staged. Every horizon is at least the previous
+// one, so no clock ever moves backwards. The first window of a run()
+// call is symmetric: from the slowest domain clock to that clock plus Q.
+// Cross-domain traffic is staged in per-edge buffers during the window
+// and injected by registered barrier hooks in deterministic registration
+// order with exact (tick, priority, sequence) keys, so dispatch order —
+// and every stat — is bit-identical to the serial run for any thread
+// count. Hooks get the tick the root reached (H_root - 1) and arm nothing
+// earlier, so the next window's anchors never sit below a domain's clock.
+// The barrier also applies per-domain functional-write journals
+// (device->host DMA data staged off-thread; see mem/write_journal.hh) up
+// to the tick the root has reached, H_root - 1.
 //
 // A checkpoint (requested tick reached, or an interrupt posted) first
 // runs one symmetric window — every domain to E = H_root, the common end
@@ -99,6 +107,14 @@ class Simulator {
         /// barriers with the tick the root domain has reached, at read
         /// fences with the read tick), in domain order. May be empty.
         std::function<void(Tick)> drain_functional;
+        /// This domain's promise for the coming window: a lower bound on
+        /// the tick of its next boundary send, given `b`, the tick of its
+        /// earliest pending event, and no new input from the root during
+        /// the window. Called in the serial barrier section after the
+        /// hooks, only when another window follows; the promise holds
+        /// until the next barrier. Results below `b` count as `b`. May
+        /// be empty (the promise is `b`).
+        std::function<Tick(Tick)> promise;
         std::uint64_t events = 0; ///< events executed in the current run()
         /// Window-completion publication: the generation of the last
         /// window this domain finished. A generation — not the window-end

@@ -2,7 +2,9 @@
 #include "test_util.hh"
 
 #include "accel/data_mover.hh"
+#include "accel/matrixflow.hh"
 #include "accel/systolic_array.hh"
+#include "core/runner.hh"
 #include "mem/mem_ctrl.hh"
 #include "mem/xbar.hh"
 #include "workload/gemm.hh"
@@ -188,6 +190,68 @@ TEST_F(MoverFixture, RejectsBadJobs)
     EXPECT_THROW(mover->submit(TransferJob{kDevBase, 0, 0, {}}), SimError);
     EXPECT_THROW(mover->submit(TransferJob{kDevBase, 0, 1ULL << 30, {}}),
                  SimError);
+}
+
+TEST(MatrixFlowSendBound, DevmemRunBoundsItsCompletionFlag)
+{
+    // The parallel core sizes its windows from this bound, so it must
+    // never pass the tick the completion flag actually leaves. A probe
+    // samples it every 100 ns of a serial 128^3 devmem GEMM (8 blocks of
+    // 8 strips, each one 160 ns tile) while the device holds the command:
+    // every sample taken before the flag leaves is at or below the flag's
+    // tick, the last one is within one strip of it, and an early sample
+    // looks ahead by most of the run's compute.
+    core::SystemConfig cfg = core::SystemConfig::paper_default();
+    cfg.set_devmem("HBM2");
+    cfg.threads = 1;
+    core::System sys(cfg);
+    core::Runner runner(sys);
+    MatrixFlowDevice& dev = sys.accelerator(0);
+    runner.dispatch(0, {128, 128, 128, /*seed=*/5}, core::Placement::devmem,
+                    /*verify=*/true);
+
+    struct Sample {
+        Tick at;
+        Tick bound;
+    };
+    std::vector<Sample> samples;
+    EventQueue& eq = sys.sim().queue();
+    const Tick period = ticks_from_ns(100.0);
+    Event probe("probe", nullptr, kPrioLate);
+    probe.set_callback([&] {
+        if (dev.commands_done() != 0) {
+            return; // the flag has left; stop probing
+        }
+        // Before the doorbell lands the device is idle (kMaxTick): only
+        // the host can wake it, and that input is outside the bound.
+        if (dev.busy()) {
+            samples.push_back({eq.now(), dev.next_send_bound(eq.now())});
+        }
+        eq.schedule(probe, eq.now() + period);
+    });
+    eq.schedule(probe, eq.now());
+    ASSERT_TRUE(runner.run_dispatched().all_verified());
+
+    const Tick flag = dev.last_complete_tick();
+    const Tick strip =
+        SystolicArray(cfg.devices[0].accel.sa).strip_ticks(1, 128);
+    Tick last_bound = 0;
+    Tick lookahead = 0;
+    std::size_t before = 0;
+    for (const Sample& s : samples) {
+        if (s.at >= flag) {
+            continue;
+        }
+        ++before;
+        EXPECT_LE(s.bound, flag) << "sample at " << s.at;
+        last_bound = s.bound;
+        lookahead = std::max(lookahead, s.bound - s.at);
+    }
+    ASSERT_GT(before, 64u);
+    EXPECT_LE(flag - last_bound, strip);
+    EXPECT_GE(lookahead, 32 * strip);
+    // Idle once the flag is out: only a doorbell can wake the device.
+    EXPECT_EQ(dev.next_send_bound(eq.now()), kMaxTick);
 }
 
 } // namespace

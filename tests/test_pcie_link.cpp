@@ -415,6 +415,38 @@ TEST_F(LinkFixture, UtilizationTracksBusyTime)
     EXPECT_DOUBLE_EQ(link->utilization(1), 0.0);
 }
 
+TEST_F(LinkFixture, BoundarySendBelowPromiseThrows)
+{
+    // On a domain-boundary link, end_b's domain promises at each barrier
+    // that it stages no cross-domain send before a tick, and the parallel
+    // core sizes the window from that promise. A TLP or credit return
+    // staged earlier would land inside the root's window, so it must fail
+    // loudly. The promise covers one window: flush_boundary() clears it.
+    TlpPool b_pool;
+    auto link = make();
+    const std::size_t d = sim.begin_domain("ep");
+    sim.end_domain();
+    EventQueue& bq = *sim.domain(d).queue;
+    link->set_boundary(sim.queue(), TlpPool::global(), bq, b_pool);
+
+    link->promise_b_sends(1000);
+    EXPECT_THROW(link->end_b().send(make_mem_write(1, 64, 1)), SimError);
+    EXPECT_THROW(link->end_b().release_ingress(64), SimError);
+    bq.warp_to(1000);
+    link->end_b().send(make_mem_write(2, 64, 1));
+    link->end_b().release_ingress(64);
+
+    link->promise_b_sends(5000);
+    EXPECT_THROW(link->end_b().send(make_mem_write(3, 64, 1)), SimError);
+    EXPECT_EQ(link->flush_boundary(1000), 1u);
+    link->end_b().send(make_mem_write(4, 64, 1));
+    EXPECT_EQ(link->flush_boundary(1000), 1u);
+    drain();
+    ASSERT_EQ(node_a.received.size(), 2u);
+    EXPECT_EQ(node_a.received[0]->addr, 2u);
+    EXPECT_EQ(node_a.received[1]->addr, 4u);
+}
+
 TEST_F(LinkFixture, AttachTwicePanics)
 {
     auto link = make();
